@@ -20,7 +20,9 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use mtsql::ast::{BinaryOperator, ColumnRef, Expr, FunctionCall};
-use mtsql::visit::{collect_aggregate_calls, collect_columns, contains_param, contains_subquery};
+use mtsql::visit::{
+    collect_aggregate_calls, collect_columns, contains_param, contains_subquery, split_conjuncts,
+};
 
 use crate::schema::Schema;
 use crate::table::{ColumnBucket, ColumnVec};
@@ -291,6 +293,163 @@ pub fn map_columns(expr: &Expr, subst: &mut dyn FnMut(&ColumnRef) -> Option<Expr
         },
         Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => return None,
     })
+}
+
+// ---------------------------------------------------------------------------
+// Disjunction normalization
+// ---------------------------------------------------------------------------
+
+fn is_disjunction(expr: &Expr) -> bool {
+    matches!(
+        expr,
+        Expr::BinaryOp {
+            op: BinaryOperator::Or,
+            ..
+        }
+    )
+}
+
+/// Break a predicate into its top-level `OR` disjuncts.
+fn split_disjuncts(expr: &Expr, out: &mut Vec<Expr>) {
+    match expr {
+        Expr::BinaryOp {
+            left,
+            op: BinaryOperator::Or,
+            right,
+        } => {
+            split_disjuncts(left, out);
+            split_disjuncts(right, out);
+        }
+        other => out.push(other.clone()),
+    }
+}
+
+fn disjunction(mut preds: Vec<Expr>) -> Expr {
+    let first = preds.remove(0);
+    preds
+        .into_iter()
+        .fold(first, |acc, p| Expr::binary(acc, BinaryOperator::Or, p))
+}
+
+/// `true` when the sub-query-free `conjunct` references columns of FROM item
+/// `item` only, and each of them resolves there unambiguously: no other
+/// base-table item resolves it, and an unqualified name never counts when
+/// some FROM item's schema is unknown (derived tables, views, joins).
+fn owned_by_item(conjunct: &Expr, item: usize, items: &[Option<Schema>]) -> bool {
+    let Some(own) = &items[item] else {
+        return false;
+    };
+    if contains_subquery(conjunct) {
+        return false;
+    }
+    let mut cols = Vec::new();
+    collect_columns(conjunct, &mut cols);
+    !cols.is_empty()
+        && cols.iter().all(|c| {
+            own.resolve(c).is_some()
+                && items.iter().enumerate().all(|(j, other)| {
+                    j == item
+                        || match other {
+                            Some(s) => s.resolve(c).is_none(),
+                            None => c.table.is_some(),
+                        }
+                })
+        })
+}
+
+/// Normalize the top-level `OR` conjuncts of a WHERE pool so the planner
+/// can find join keys and scan filters inside them. `items` yields, per
+/// FROM item, its schema when the item is a plain base table; it is only
+/// called when the pool holds a top-level `OR`, so OR-free statements pay
+/// nothing.
+///
+/// * **Factoring.** A conjunct structurally equal in every disjunct moves
+///   out of the `OR` into the pool (`(A AND X) OR (A AND Y)` ⇒ `A AND (X OR
+///   Y)`), where the greedy join loop sees it — Q19's `p_partkey =
+///   l_partkey` becomes a hash-join key. A disjunct left empty absorbs the
+///   whole `OR` (`A OR (A AND Y)` ⇒ `A`).
+/// * **Implied single-table disjunctions.** For each base-table item whose
+///   columns appear in every disjunct, the `OR` of each disjunct's
+///   conjuncts owned by that item is added to the pool, where the scan of
+///   that item picks it up. The original `OR` stays for the filter above the
+///   join, so the derived one only ever drops rows the original drops too.
+///
+/// The executor's `AND`/`OR` collapse NULL to false, so both steps are plain
+/// Boolean identities: factoring is distributivity, and each derived `OR` is
+/// implied by the original.
+pub fn normalize_disjunctions(pool: &mut Vec<Expr>, items: impl FnOnce() -> Vec<Option<Schema>>) {
+    if !pool.iter().any(is_disjunction) {
+        return;
+    }
+    let items = items();
+    let mut derived = Vec::new();
+    for conjunct in std::mem::take(pool) {
+        if !is_disjunction(&conjunct) {
+            pool.push(conjunct);
+            continue;
+        }
+        let mut flat = Vec::new();
+        split_disjuncts(&conjunct, &mut flat);
+        let mut disjuncts: Vec<Vec<Expr>> = flat
+            .iter()
+            .map(|d| {
+                let mut conjuncts = Vec::new();
+                split_conjuncts(d, &mut conjuncts);
+                conjuncts
+            })
+            .collect();
+        let mut factored = false;
+        for candidate in disjuncts[0].clone() {
+            if disjuncts.iter().all(|d| d.contains(&candidate)) {
+                for d in &mut disjuncts {
+                    if let Some(pos) = d.iter().position(|c| *c == candidate) {
+                        d.remove(pos);
+                    }
+                }
+                pool.push(candidate);
+                factored = true;
+            }
+        }
+        if disjuncts.iter().any(Vec::is_empty) {
+            continue;
+        }
+        for item in 0..items.len() {
+            let per_disjunct: Vec<Vec<Expr>> = disjuncts
+                .iter()
+                .map(|d| {
+                    d.iter()
+                        .filter(|c| owned_by_item(c, item, &items))
+                        .cloned()
+                        .collect()
+                })
+                .collect();
+            let whole = per_disjunct
+                .iter()
+                .zip(&disjuncts)
+                .all(|(own, d)| own.len() == d.len());
+            // An `OR` entirely over this item already reaches its scan.
+            if whole || per_disjunct.iter().any(Vec::is_empty) {
+                continue;
+            }
+            derived.push(disjunction(
+                per_disjunct
+                    .into_iter()
+                    .filter_map(Expr::conjunction)
+                    .collect(),
+            ));
+        }
+        pool.push(if factored {
+            disjunction(
+                disjuncts
+                    .into_iter()
+                    .filter_map(Expr::conjunction)
+                    .collect(),
+            )
+        } else {
+            conjunct
+        });
+    }
+    pool.append(&mut derived);
 }
 
 // ---------------------------------------------------------------------------
@@ -1029,6 +1188,84 @@ mod tests {
         let mut cols = Vec::new();
         collect_columns(&mapped, &mut cols);
         assert!(cols.iter().all(|c| c.name == "col"));
+    }
+
+    fn normalized(pred: &str, items: Vec<Option<Schema>>) -> Vec<String> {
+        let mut pool = Vec::new();
+        split_conjuncts(&parse_expression(pred).unwrap(), &mut pool);
+        normalize_disjunctions(&mut pool, || items);
+        pool.iter().map(|c| c.to_string()).collect()
+    }
+
+    fn two_tables() -> Vec<Option<Schema>> {
+        vec![
+            Some(Schema::qualified("l", &["lk".into(), "q".into()])),
+            Some(Schema::qualified(
+                "p",
+                &["pk".into(), "b".into(), "q".into()],
+            )),
+        ]
+    }
+
+    /// The Q19 shape: the join key moves out of the OR (a reordered copy
+    /// stays, it is a different expression), each table gets its implied
+    /// disjunction, and the factored OR stays for the filter above the join.
+    #[test]
+    fn disjunctions_factor_common_conjuncts_and_derive_scan_filters() {
+        let pool = normalized(
+            "((pk = lk AND b = 1 AND l.q < 5) OR (lk = pk AND pk = lk AND b = 2 AND l.q > 9)) \
+             AND lk > 0",
+            two_tables(),
+        );
+        assert_eq!(
+            pool,
+            vec![
+                "(pk = lk)",
+                "(((b = 1) AND (l.q < 5)) OR (((lk = pk) AND (b = 2)) AND (l.q > 9)))",
+                "(lk > 0)",
+                "((l.q < 5) OR (l.q > 9))",
+                "((b = 1) OR (b = 2))",
+            ]
+        );
+    }
+
+    /// `A OR (A AND B)` absorbs to `A`; an OR over one table is left alone
+    /// (its scan takes it whole); ambiguous or outer columns derive nothing.
+    #[test]
+    fn disjunctions_absorb_and_skip_ambiguous_or_single_table_ors() {
+        assert_eq!(
+            normalized("(pk = lk) OR (pk = lk AND b = 2)", two_tables()),
+            vec!["(pk = lk)"]
+        );
+        assert_eq!(
+            normalized("(b = 1 AND pk > 2) OR (b = 2)", two_tables()),
+            vec!["(((b = 1) AND (pk > 2)) OR (b = 2))"]
+        );
+        // Unqualified `q` resolves in both tables, `o.x` in neither.
+        assert_eq!(
+            normalized("(q = 1 AND o.x = lk) OR (q = 2 AND o.x = pk)", two_tables()),
+            vec!["(((q = 1) AND (o.x = lk)) OR ((q = 2) AND (o.x = pk)))"]
+        );
+        // A FROM item of unknown schema may hide any unqualified name, so
+        // only the qualified conjuncts derive a filter.
+        let with_derived = vec![two_tables()[0].clone(), None];
+        assert_eq!(
+            normalized("(lk = 1 AND l.q = 2) OR (lk = 3 AND l.q = 4)", with_derived),
+            vec![
+                "(((lk = 1) AND (l.q = 2)) OR ((lk = 3) AND (l.q = 4)))",
+                "((l.q = 2) OR (l.q = 4))",
+            ]
+        );
+    }
+
+    /// OR-free pools never ask for the FROM schemas.
+    #[test]
+    fn disjunction_pass_is_free_without_an_or() {
+        let mut pool = vec![parse_expression("a = 1").unwrap()];
+        normalize_disjunctions(&mut pool, || {
+            panic!("schemas requested for an OR-free pool")
+        });
+        assert_eq!(pool.len(), 1);
     }
 
     #[test]

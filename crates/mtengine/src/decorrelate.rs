@@ -9,12 +9,16 @@
 //! [`crate::EngineConfig::decorrelation`] on (the default), two rewrite
 //! rules turn those conjuncts into set-at-a-time joins:
 //!
-//! * **`[NOT] EXISTS`** with equi-correlation only becomes a
+//! * **`[NOT] EXISTS`** with at least one equi-correlation becomes a
 //!   [`JoinVariant::Semi`] / [`JoinVariant::Anti`] join: the build side
 //!   projects the inner key expressions under synthetic aliases
 //!   (`$k0`, `$k1`, ...) with the inner-only conjuncts — including `ttid`
 //!   D-filters, which therefore keep pruning partitions — as its WHERE
-//!   clause, and the probe side filters by build-key membership.
+//!   clause, and the probe side filters by build-key membership. Any other
+//!   cross-boundary conjunct (Q21's `l2.l_suppkey <> l1.l_suppkey`) becomes
+//!   the join's *residual*: the inner columns it reads are projected as
+//!   `$r0`, `$r1`, ..., and a probe row qualifies (semi) or is dropped
+//!   (anti) when some build row with its key makes the residual true.
 //! * A comparison against a **correlated scalar aggregate**
 //!   (`l_quantity < (SELECT 0.2 * AVG(l_quantity) FROM lineitem WHERE
 //!   l_partkey = p_partkey)`) becomes a [`JoinVariant::Single`] join: the
@@ -31,28 +35,30 @@
 //!   or explicit joins), so inner resolvability is decidable without
 //!   planning;
 //! * no nested sub-queries inside the inner WHERE or projection;
-//! * every non-local inner conjunct is an equality with one side resolvable
-//!   against the inner schema and the other against the probe schema —
-//!   non-equi correlation (Q21's `l2.l_suppkey <> l1.l_suppkey`) bails;
+//! * every column of a non-local inner conjunct resolves against the inner
+//!   or the probe schema (inner first, as the executor's environment chain
+//!   binds it);
 //! * at least one correlation key — uncorrelated sub-queries stay on the
 //!   executor's cached interpreted path, which evaluates them exactly once
-//!   anyway;
-//! * for the aggregate rule: a single projection item whose columns all sit
-//!   inside `SUM`/`AVG`/`MIN`/`MAX` arguments. `COUNT` bails — it folds to
-//!   `0` over an empty inner set while a join miss NULL-extends, and
-//!   `0 != NULL`.
+//!   anyway, and a residual without a key would be a cross product;
+//! * for the aggregate rule: no residual, and a single projection item
+//!   whose columns all sit inside `SUM`/`AVG`/`MIN`/`MAX` arguments.
+//!   `COUNT` bails — it folds to `0` over an empty inner set while a join
+//!   miss NULL-extends, and `0 != NULL`.
 //!
 //! NULL semantics line up by construction: build rows with a NULL key are
 //! skipped (a NULL key equals nothing, so the interpreted inner set never
 //! contains them), a NULL probe key matches nothing (`Semi` drops the row,
-//! `Anti` keeps it), and a `Single` miss NULL-extends so the rewritten
-//! comparison evaluates against NULL aggregates — not-true, exactly like
-//! the interpreted aggregate over an empty inner set.
+//! `Anti` keeps it), a residual that is NULL for a candidate is not true
+//! (the interpreted inner WHERE filters that row too), and a `Single` miss
+//! NULL-extends so the rewritten comparison evaluates against NULL
+//! aggregates — not-true, exactly like the interpreted aggregate over an
+//! empty inner set.
 
 use mtsql::ast::*;
-use mtsql::visit::{collect_aggregate_calls, contains_subquery, split_conjuncts};
+use mtsql::visit::{collect_aggregate_calls, collect_columns, contains_subquery, split_conjuncts};
 
-use crate::conjuncts::expr_resolvable;
+use crate::conjuncts::{expr_resolvable, map_columns};
 use crate::error::Result;
 use crate::plan::{JoinVariant, Plan, Planner};
 use crate::schema::Schema;
@@ -61,6 +67,11 @@ use crate::schema::Schema;
 /// out of the identifier space real queries can reach.
 fn key_alias(i: usize) -> String {
     format!("$k{i}")
+}
+
+/// Synthetic build-side alias of the inner column `j` a residual reads.
+fn residual_alias(j: usize) -> String {
+    format!("$r{j}")
 }
 
 /// Synthetic build-side alias of the hoisted aggregate projection.
@@ -73,19 +84,25 @@ struct Rewrite {
     /// `(probe key, build key)` pairs; build keys reference the `$k{i}`
     /// aliases of the build projection.
     keys: Vec<(Expr, Expr)>,
-    /// The rewritten scalar comparison for [`JoinVariant::Single`]; empty
-    /// for semi/anti joins.
+    /// The rewritten scalar comparison for [`JoinVariant::Single`]; the
+    /// rewritten non-equi correlation for semi/anti joins.
     residual: Vec<Expr>,
     variant: JoinVariant,
 }
 
 /// The inner WHERE clause split against the (inner, probe) schema pair:
 /// inner-only conjuncts stay local to the build side, equalities across the
-/// boundary become join keys.
+/// boundary become join keys, and any other cross-boundary conjunct becomes
+/// a residual checked per (probe row, build candidate) pair.
 struct InnerSplit {
     locals: Vec<Expr>,
     /// `(probe-side expression, inner-side expression)` pairs.
     keys: Vec<(Expr, Expr)>,
+    /// Cross-boundary conjuncts rewritten over the probe columns and the
+    /// `$r{j}` aliases of `residual_cols`.
+    residual: Vec<Expr>,
+    /// Inner columns the residual reads; column `j` is projected as `$r{j}`.
+    residual_cols: Vec<Expr>,
 }
 
 fn split_correlation(
@@ -97,8 +114,20 @@ fn split_correlation(
     if let Some(sel) = &select.selection {
         split_conjuncts(sel, &mut conjuncts);
     }
-    let mut locals = Vec::new();
-    let mut keys = Vec::new();
+    let mut split = InnerSplit {
+        locals: Vec::new(),
+        keys: Vec::new(),
+        residual: Vec::new(),
+        residual_cols: Vec::new(),
+    };
+    // A probe-side expression must not mention a column the inner schema
+    // also resolves: the executor's environment chain would bind it inner.
+    let probe_only = |e: &Expr| {
+        let mut cols = Vec::new();
+        collect_columns(e, &mut cols);
+        cols.iter()
+            .all(|c| inner_schema.resolve(c).is_none() && probe_schema.resolve(c).is_some())
+    };
     for c in conjuncts {
         if contains_subquery(&c) {
             // Nested sub-queries may reference scopes the hoisted build side
@@ -110,35 +139,54 @@ fn split_correlation(
             // stay in the build side's WHERE clause, where the planner
             // pushes them into the build scans — partition pruning fires
             // inside the unnested pipeline.
-            locals.push(c);
+            split.locals.push(c);
             continue;
         }
-        // Everything else must be an equi-correlation: one side inner, the
-        // other probe. Inner resolution is checked first on each side,
-        // mirroring how the executor's environment chain shadows outer
-        // scopes (a side resolvable against *both* schemas is inner).
-        let Expr::BinaryOp {
+        // An equality with one side inner and the other probe-only is a
+        // join key.
+        if let Expr::BinaryOp {
             left,
             op: BinaryOperator::Eq,
             right,
         } = &c
-        else {
-            return None;
-        };
-        if expr_resolvable(left, inner_schema) && expr_resolvable(right, probe_schema) {
-            keys.push(((**right).clone(), (**left).clone()));
-        } else if expr_resolvable(right, inner_schema) && expr_resolvable(left, probe_schema) {
-            keys.push(((**left).clone(), (**right).clone()));
-        } else {
-            return None;
+        {
+            if expr_resolvable(left, inner_schema) && probe_only(right) {
+                split.keys.push(((**right).clone(), (**left).clone()));
+                continue;
+            }
+            if expr_resolvable(right, inner_schema) && probe_only(left) {
+                split.keys.push(((**left).clone(), (**right).clone()));
+                continue;
+            }
         }
+        // Anything else is a residual: each column binds inner-first, like
+        // the environment chain, and must resolve on one side or the other.
+        let cols = &mut split.residual_cols;
+        let rewritten = map_columns(&c, &mut |col| {
+            if inner_schema.resolve(col).is_some() {
+                let inner = Expr::Column(col.clone());
+                let j = match cols.iter().position(|e| *e == inner) {
+                    Some(j) => j,
+                    None => {
+                        cols.push(inner);
+                        cols.len() - 1
+                    }
+                };
+                Some(Expr::col(residual_alias(j)))
+            } else {
+                probe_schema.resolve(col)?;
+                Some(Expr::Column(col.clone()))
+            }
+        })?;
+        split.residual.push(rewritten);
     }
-    if keys.is_empty() {
+    if split.keys.is_empty() {
         // Uncorrelated: the executor's sub-query result cache already
-        // evaluates it exactly once.
+        // evaluates it exactly once. A residual without an equi-key would
+        // make the join a cross product; leave it interpreted too.
         return None;
     }
-    Some(InnerSplit { locals, keys })
+    Some(split)
 }
 
 /// `true` when a column reference appears outside every aggregate argument —
@@ -296,6 +344,13 @@ impl<'e> Planner<'e> {
             .iter()
             .enumerate()
             .map(|(i, (_, inner))| SelectItem::aliased(inner.clone(), key_alias(i)))
+            .chain(
+                split
+                    .residual_cols
+                    .iter()
+                    .enumerate()
+                    .map(|(j, inner)| SelectItem::aliased(inner.clone(), residual_alias(j))),
+            )
             .collect();
         let build_query = Query {
             body: Select {
@@ -316,7 +371,7 @@ impl<'e> Planner<'e> {
         Ok(Some(Rewrite {
             build,
             keys,
-            residual: Vec::new(),
+            residual: split.residual,
             variant: if negated {
                 JoinVariant::Anti
             } else {
@@ -371,6 +426,11 @@ impl<'e> Planner<'e> {
         let Some(split) = split_correlation(select, &inner_schema, current.schema()) else {
             return Ok(None);
         };
+        // A residual varies per inner row inside one key group, so the
+        // per-key aggregate cannot absorb it.
+        if !split.residual.is_empty() {
+            return Ok(None);
+        }
         let mut projection: Vec<SelectItem> = split
             .keys
             .iter()

@@ -43,7 +43,9 @@ use crate::conjuncts::{
     fast_pred_matches, flip_comparison, has_columns, CompiledPred, Selection,
 };
 use crate::error::{err, EngineError, Result};
-use crate::plan::{HashAggregate, JoinVariant, Plan, Planner, Project, SeqScan, SortKey};
+use crate::plan::{
+    probe_scan_key_columns, HashAggregate, JoinVariant, Plan, Planner, Project, SeqScan, SortKey,
+};
 use crate::schema::Schema;
 use crate::table::{Bucket, BucketRead, Row, SharedRow, Snapshot};
 use crate::value::{add_months, civil_from_days, parse_date, Value};
@@ -341,6 +343,39 @@ fn scan_bucket_fast(
         }
     }
     tally
+}
+
+/// Build side of a decorrelated join indexed by key: each non-NULL key maps
+/// to its last build row, and `next` chains every build row to the previous
+/// one with the same key ([`KeyIndex::END`] ends a chain), so a residual can
+/// visit all of a key's rows without a vector per key.
+struct KeyIndex {
+    heads: HashMap<Vec<Value>, usize>,
+    next: Vec<usize>,
+}
+
+impl KeyIndex {
+    const END: usize = usize::MAX;
+
+    fn new(rows: usize) -> Self {
+        KeyIndex {
+            heads: HashMap::with_capacity(rows),
+            next: vec![Self::END; rows],
+        }
+    }
+
+    fn insert(&mut self, key: Vec<Value>, row: usize) {
+        if let Some(prev) = self.heads.insert(key, row) {
+            self.next[row] = prev;
+        }
+    }
+
+    /// The build rows carrying `key`.
+    fn candidates(&self, key: &[Value]) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.heads.get(key).copied(), |&i| {
+            Some(self.next[i]).filter(|&n| n != Self::END)
+        })
+    }
 }
 
 /// A materialized intermediate result. Rows are shared with their producers;
@@ -1950,12 +1985,13 @@ impl<'e> Executor<'e> {
 
     /// Execute a decorrelated semi-/anti-/aggregate-join (see
     /// [`crate::decorrelate`]): materialize the build (right) side once,
-    /// project its keys into a hash map (NULL keys skipped — they equal
-    /// nothing), and filter the probe (left) side by key membership,
-    /// emitting probe rows unchanged and in order. When the probe side is a
-    /// base-table scan with plain column keys, the probe runs *inside* the
-    /// scan pipeline ([`Executor::key_join_scan`]); otherwise the probe plan
-    /// materializes and filters row-wise through the environment chain.
+    /// index its rows by key ([`KeyIndex`]; NULL keys skipped — they equal
+    /// nothing), and filter the probe (left) side by key membership and
+    /// residual, emitting probe rows unchanged and in order. When the probe
+    /// side is a base-table scan with plain column keys, the probe runs
+    /// *inside* the scan pipeline ([`Executor::key_join_scan`]); otherwise
+    /// the probe plan materializes and filters row-wise through the
+    /// environment chain.
     fn key_join(
         &self,
         left: &Plan,
@@ -1966,7 +2002,7 @@ impl<'e> Executor<'e> {
         outer: Option<&Env>,
     ) -> Result<Relation> {
         let build = self.execute_plan(right, outer)?;
-        let mut map: HashMap<Vec<Value>, usize> = HashMap::with_capacity(build.rows.len());
+        let mut index = KeyIndex::new(build.rows.len());
         for (i, row) in build.rows.iter().enumerate() {
             let env = Env {
                 schema: &build.schema,
@@ -1980,16 +2016,12 @@ impl<'e> Executor<'e> {
             if key.iter().any(Value::is_null) {
                 continue;
             }
-            map.entry(key).or_insert(i);
+            index.insert(key, i);
         }
         self.engine.note_subquery_unnested(1);
 
-        if let Plan::SeqScan(scan) = left {
-            if let Some(rel) =
-                self.key_join_scan(scan, keys, residual, variant, &build, &map, outer)?
-            {
-                return Ok(rel);
-            }
+        if let Some((scan, key_cols)) = probe_scan_key_columns(left, keys) {
+            return self.key_join_scan(scan, &key_cols, residual, variant, &build, &index, outer);
         }
         let l = self.execute_plan(left, outer)?;
         let combined = l.schema.concat(&build.schema);
@@ -2005,7 +2037,7 @@ impl<'e> Executor<'e> {
                 .map(|(p, _)| self.eval(p, &env))
                 .collect::<Result<Vec<_>>>()?;
             if self.key_probe_matches(
-                &key, variant, &map, &build, residual, lrow, &combined, outer,
+                &key, variant, &index, &build, residual, lrow, &combined, outer,
             )? {
                 rows.push(SharedRow::clone(lrow));
             }
@@ -2016,17 +2048,21 @@ impl<'e> Executor<'e> {
         })
     }
 
-    /// Membership outcome of one probe row against the build-key map. The
-    /// `Single` variant looks up its (unique) build row, NULL-extends on a
-    /// miss, and evaluates the rewritten comparison over the concatenated
-    /// row — a miss therefore compares against NULL aggregates and fails,
-    /// matching the interpreted aggregate over an empty inner set.
+    /// Membership outcome of one probe row against the build-key index.
+    /// Semi/anti joins look for a build row with the probe's key that makes
+    /// every residual conjunct true over the concatenated row (any key match
+    /// when there is no residual): `Semi` keeps the probe row when one
+    /// exists, `Anti` when none does. The `Single` variant looks up its
+    /// (unique) build row, NULL-extends on a miss, and evaluates the
+    /// rewritten comparison over the concatenated row — a miss therefore
+    /// compares against NULL aggregates and fails, matching the interpreted
+    /// aggregate over an empty inner set.
     #[allow(clippy::too_many_arguments)]
     fn key_probe_matches(
         &self,
         key: &[Value],
         variant: JoinVariant,
-        map: &HashMap<Vec<Value>, usize>,
+        index: &KeyIndex,
         build: &Relation,
         residual: &[Expr],
         lrow: &[Value],
@@ -2034,14 +2070,41 @@ impl<'e> Executor<'e> {
         outer: Option<&Env>,
     ) -> Result<bool> {
         let has_null = key.iter().any(Value::is_null);
+        let holds = |row: &[Value]| -> Result<bool> {
+            let env = Env {
+                schema: combined,
+                row,
+                parent: outer,
+            };
+            for r in residual {
+                if !self.eval(r, &env)?.as_bool().unwrap_or(false) {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        };
         match variant {
-            JoinVariant::Semi => Ok(!has_null && map.contains_key(key)),
-            JoinVariant::Anti => Ok(has_null || !map.contains_key(key)),
+            JoinVariant::Semi | JoinVariant::Anti => {
+                let mut found = false;
+                if !has_null {
+                    if residual.is_empty() {
+                        found = index.heads.contains_key(key);
+                    } else {
+                        for i in index.candidates(key) {
+                            if holds(&concat_rows(lrow, &build.rows[i]))? {
+                                found = true;
+                                break;
+                            }
+                        }
+                    }
+                }
+                Ok(found == (variant == JoinVariant::Semi))
+            }
             JoinVariant::Single => {
                 let hit = if has_null {
                     None
                 } else {
-                    map.get(key).copied()
+                    index.heads.get(key).copied()
                 };
                 let row = match hit {
                     Some(i) => concat_rows(lrow, &build.rows[i]),
@@ -2052,17 +2115,7 @@ impl<'e> Executor<'e> {
                         r
                     }
                 };
-                let env = Env {
-                    schema: combined,
-                    row: &row,
-                    parent: outer,
-                };
-                for r in residual {
-                    if !self.eval(r, &env)?.as_bool().unwrap_or(false) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+                holds(&row)
             }
             JoinVariant::Plain(_) => unreachable!("plain joins use hash_join"),
         }
@@ -2073,38 +2126,28 @@ impl<'e> Executor<'e> {
     /// for semi joins, the build-key columns injected as membership kernels
     /// ([`CompiledPred::KeySet`], code space on dictionary-encoded keys), so
     /// non-matching rows are never materialized — and the PR 7 morsel pool
-    /// with the key probe running per morsel on the workers. Returns `None`
-    /// when a probe key is not a plain scan column; the caller falls back to
-    /// materialize-then-filter (correctness never depends on this path).
+    /// with the key probe running per morsel on the workers. `key_cols` are
+    /// the probe keys' scan column indices
+    /// ([`probe_scan_key_columns`]).
     #[allow(clippy::too_many_arguments)]
     fn key_join_scan(
         &self,
         scan: &SeqScan,
-        keys: &[(Expr, Expr)],
+        key_cols: &[usize],
         residual: &[Expr],
         variant: JoinVariant,
         build: &Relation,
-        map: &HashMap<Vec<Value>, usize>,
+        index: &KeyIndex,
         outer: Option<&Env>,
-    ) -> Result<Option<Relation>> {
-        let mut key_cols = Vec::with_capacity(keys.len());
-        for (probe, _) in keys {
-            let Expr::Column(c) = probe else {
-                return Ok(None);
-            };
-            let Some(idx) = scan.schema.resolve(c) else {
-                return Ok(None);
-            };
-            key_cols.push(idx);
-        }
-
+    ) -> Result<Relation> {
         let table = self.engine.database().table(&scan.table)?;
         let prune_keys = self.effective_prune_keys(scan, table.partition_column());
         let (selected, buckets_scanned, buckets_pruned) =
             select_buckets(table, &prune_keys, self.snapshot.as_ref());
         let mut bucket_filter = self.compile_bucket_filter(scan, prune_keys.is_some());
         // Per-column build-key sets are a superset filter for multi-key
-        // joins; the exact tuple probe below still runs on the survivors.
+        // joins and residuals; the exact probe below still runs on the
+        // survivors.
         // Anti/aggregate joins keep (or NULL-extend) non-matching rows, so
         // only semi joins may pre-filter.
         if variant == JoinVariant::Semi {
@@ -2124,7 +2167,7 @@ impl<'e> Executor<'e> {
                     }
                     .into());
                 }
-                let set: HashSet<Value> = map.keys().map(|k| k[i].clone()).collect();
+                let set: HashSet<Value> = index.heads.keys().map(|k| k[i].clone()).collect();
                 bucket_filter.push(CompiledPred::KeySet {
                     idx,
                     set: Arc::new(set),
@@ -2168,7 +2211,7 @@ impl<'e> Executor<'e> {
                     for row in local {
                         probe_key(&mut key, &row);
                         if worker.key_probe_matches(
-                            &key, variant, map, build, residual, &row, &combined, None,
+                            &key, variant, index, build, residual, &row, &combined, None,
                         )? {
                             kept.push(row);
                         }
@@ -2209,7 +2252,7 @@ impl<'e> Executor<'e> {
             for row in scanned {
                 probe_key(&mut key, &row);
                 if self.key_probe_matches(
-                    &key, variant, map, build, residual, &row, &combined, outer,
+                    &key, variant, index, build, residual, &row, &combined, outer,
                 )? {
                     rows.push(row);
                 }
@@ -2232,7 +2275,7 @@ impl<'e> Executor<'e> {
                 if self.filter_matches(full_filter, &scan.schema, row, outer)? {
                     probe_key(&mut key, row);
                     if self.key_probe_matches(
-                        &key, variant, map, build, residual, row, &combined, outer,
+                        &key, variant, index, build, residual, row, &combined, outer,
                     )? {
                         rows.push(SharedRow::clone(row));
                     }
@@ -2245,10 +2288,10 @@ impl<'e> Executor<'e> {
         self.engine
             .note_vectorized(tally.vectorized, tally.materialized);
         self.engine.note_dict_kernel_rows(tally.dict);
-        Ok(Some(Relation {
+        Ok(Relation {
             schema: scan.schema.clone(),
             rows,
-        }))
+        })
     }
 
     fn nested_loop_join(

@@ -38,7 +38,8 @@ use mtsql::visit::{collect_aggregate_calls, contains_subquery, split_conjuncts};
 
 use crate::conjuncts::{
     contains_aggregate, equi_join_keys, expr_resolvable, is_consumed_equi_key,
-    is_param_partition_key_conjunct, map_columns, partition_keys_of_conjunct, take_applicable,
+    is_param_partition_key_conjunct, map_columns, normalize_disjunctions,
+    partition_keys_of_conjunct, take_applicable,
 };
 use crate::error::Result;
 use crate::exec::Executor;
@@ -339,6 +340,13 @@ impl<'e> Planner<'e> {
         if let Some(sel) = &select.selection {
             split_conjuncts(sel, &mut conjuncts);
         }
+        normalize_disjunctions(&mut conjuncts, || {
+            select
+                .from
+                .iter()
+                .map(|item| self.base_table_schema(item))
+                .collect()
+        });
 
         if select.from.is_empty() {
             // `SELECT expr` without FROM: a single empty row. A WHERE clause
@@ -480,10 +488,15 @@ impl<'e> Planner<'e> {
                     }
                     JoinKind::Left => {
                         // The preserved (left) side must not be pre-filtered
-                        // by ON predicates; right-side-only predicates may be
-                        // pushed into the right scan (non-matching right rows
-                        // are simply absent, left rows still null-extend).
-                        let l = self.plan_table_ref(left, &mut Vec::new())?;
+                        // by ON predicates, but WHERE conjuncts over it filter
+                        // preserved rows alike above or below the join, so
+                        // the pool reaches the left leg. Right-side-only ON
+                        // predicates may be pushed into the right scan
+                        // (non-matching right rows are simply absent, left
+                        // rows still null-extend); right-side WHERE conjuncts
+                        // stay above the join, where they see the
+                        // null-extended rows.
+                        let l = self.plan_table_ref(left, pool)?;
                         let mut right_only: Vec<Expr> = Vec::new();
                         if let Some(rschema) = self.base_table_schema(right) {
                             on_conjuncts.retain(|c| {
@@ -670,6 +683,28 @@ impl<'e> Planner<'e> {
             _ => None,
         }
     }
+}
+
+/// The probe scan and its key column indices when a decorrelated join can
+/// probe inside the scan pipeline: the probe side is a [`Plan::SeqScan`] and
+/// every probe key is a plain column of it. Semi joins then inject their
+/// build keys into that scan as membership kernels; `None` means the probe
+/// side materializes first.
+pub(crate) fn probe_scan_key_columns<'p>(
+    left: &'p Plan,
+    keys: &[(Expr, Expr)],
+) -> Option<(&'p SeqScan, Vec<usize>)> {
+    let Plan::SeqScan(scan) = left else {
+        return None;
+    };
+    let cols = keys
+        .iter()
+        .map(|(probe, _)| match probe {
+            Expr::Column(c) => scan.schema.resolve(c),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((scan, cols))
 }
 
 /// Consume every pool conjunct resolvable against the node's schema and wrap
@@ -1121,8 +1156,10 @@ fn render(engine: &Engine, plan: &Plan, depth: usize, out: &mut String) {
                 out.push_str(&format!(" [residual: {}]", join_exprs(residual)));
             }
             match kind {
-                JoinVariant::Semi => out.push_str(" [bloom: build-key kernel on probe scan]"),
-                JoinVariant::Anti | JoinVariant::Single => {
+                JoinVariant::Semi if probe_scan_key_columns(left, keys).is_some() => {
+                    out.push_str(" [bloom: build-key kernel on probe scan]")
+                }
+                JoinVariant::Semi | JoinVariant::Anti | JoinVariant::Single => {
                     out.push_str(" [bloom: build-key set probe]")
                 }
                 JoinVariant::Plain(_) => {}

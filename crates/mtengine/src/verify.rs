@@ -20,9 +20,9 @@
 //!   produces a [`CompiledPred::KeySet`] — key-set membership kernels are
 //!   injected by the executor into decorrelated probe scans only.
 //! * **Join variants.** Hash joins carry at least one key pair, each side
-//!   resolving against its own input. Semi/anti joins emit the probe schema
-//!   unchanged and carry no residual; `Single` (aggregate) joins emit the
-//!   probe schema and evaluate their rewritten comparison over the
+//!   resolving against its own input. Semi/anti and `Single` (aggregate)
+//!   joins emit the probe schema unchanged, and their residual (the
+//!   non-equi correlation, or the rewritten comparison) resolves over the
 //!   concatenated probe+build row; decorrelated key pairs must agree on
 //!   comparison class (a string key can never equal a numeric key — such a
 //!   join would silently emit nothing).
@@ -74,8 +74,8 @@ pub enum PlanErrorClass {
     /// A hash-join key pair is missing, unresolvable, or compares
     /// incompatible classes.
     JoinKey,
-    /// A join-variant rule is violated (semi/anti residual or schema,
-    /// `Single` schema, key-set injection discipline).
+    /// A join-variant rule is violated (semi/anti/`Single` schema, key-set
+    /// injection discipline).
     Variant,
     /// Partition-pruning conjuncts do not resolve to the partition column,
     /// or prune keys exist without a partitioned table.
@@ -600,31 +600,13 @@ impl Verifier<'_> {
                     self.columns_resolve(p, &concat, &node, true)?;
                 }
             }
-            JoinVariant::Semi | JoinVariant::Anti => {
+            JoinVariant::Semi | JoinVariant::Anti | JoinVariant::Single => {
                 self.check();
                 if schema != left.schema() {
                     return Err(PlanError::new(
                         PlanErrorClass::Variant,
                         &node,
-                        "semi/anti joins emit the probe schema unchanged",
-                    ));
-                }
-                self.check();
-                if !residual.is_empty() {
-                    return Err(PlanError::new(
-                        PlanErrorClass::Variant,
-                        &node,
-                        "semi/anti joins carry no residual (decorrelation bails out instead)",
-                    ));
-                }
-            }
-            JoinVariant::Single => {
-                self.check();
-                if schema != left.schema() {
-                    return Err(PlanError::new(
-                        PlanErrorClass::Variant,
-                        &node,
-                        "aggregate joins emit the probe schema unchanged",
+                        "semi/anti/aggregate joins emit the probe schema unchanged",
                     ));
                 }
                 let concat = left.schema().concat(right.schema());
@@ -1111,19 +1093,30 @@ mod tests {
             class_of(verify_plan(&e, &bad_schema).unwrap_err()),
             PlanErrorClass::Variant
         );
-        // A residual on a semi join means decorrelation failed to bail out.
+        // A residual must resolve over the probe and build columns.
         let bad_residual = Plan::HashJoin {
             left: Box::new(probe.clone()),
             right: Box::new(build.clone()),
             keys: keys.clone(),
-            residual: vec![mtsql::parse_expression("a > 0").unwrap()],
+            residual: vec![mtsql::parse_expression("a <> nope").unwrap()],
             kind: JoinVariant::Semi,
             schema: probe.schema().clone(),
         };
         assert_eq!(
             class_of(verify_plan(&e, &bad_residual).unwrap_err()),
-            PlanErrorClass::Variant
+            PlanErrorClass::Column
         );
+        // A residual over probe ⊕ build (decorrelated non-equi correlation)
+        // passes.
+        let with_residual = Plan::HashJoin {
+            left: Box::new(probe.clone()),
+            right: Box::new(build.clone()),
+            keys: keys.clone(),
+            residual: vec![mtsql::parse_expression("a <> k").unwrap()],
+            kind: JoinVariant::Anti,
+            schema: probe.schema().clone(),
+        };
+        verify_plan(&e, &with_residual).unwrap();
         // The well-formed semi join passes.
         let good = Plan::HashJoin {
             left: Box::new(probe.clone()),

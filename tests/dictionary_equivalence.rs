@@ -154,10 +154,10 @@ fn kernel_heavy_queries_agree_at_o4() {
 
 /// MT-H queries whose correlated sub-queries unnest into join plans (Q2's
 /// MIN-over-partsupp, Q4's EXISTS, Q17's AVG threshold, Q20's nested SUM,
-/// Q22's NOT EXISTS). Pinned as a constant so the engagement assert below
+/// Q21's EXISTS / NOT EXISTS with a `<>` residual, Q22's NOT EXISTS). Pinned as a constant so the engagement assert below
 /// fails loudly if a rewrite silently stops firing — a shrinking set is a
 /// regression, not a neutral plan change.
-const DECORRELATING: &[usize] = &[2, 4, 17, 20, 22];
+const DECORRELATING: &[usize] = &[2, 4, 17, 20, 21, 22];
 
 /// The `without_decorrelation()` twins of the configuration cross: identical
 /// generator output and physical layout, correlated sub-queries interpreted

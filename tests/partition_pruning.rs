@@ -108,3 +108,58 @@ fn foreign_and_own_scans_see_the_same_bucket_sizes() {
         foreign.rows_scanned
     );
 }
+
+/// Q13's preserved `customer` side takes its WHERE D-filter into the scan:
+/// under an own-tenant scope both tables of the LEFT JOIN prune nine of ten
+/// buckets, and the result matches the unpruned deployment.
+#[test]
+fn left_join_preserved_side_prunes_partitions() {
+    let pruned = deployment(true);
+    let full = deployment(false);
+    for level in [OptLevel::O2, OptLevel::O4] {
+        let (rs, stats) = run_scoped(&pruned, "SET SCOPE = \"IN (1)\"", 13, level);
+        let (rs_full, _) = run_scoped(&full, "SET SCOPE = \"IN (1)\"", 13, level);
+        assert_eq!(rs, rs_full, "Q13 at {level:?} differs with pruning on/off");
+        assert!(
+            stats.partitions_pruned >= 2 * (TENANTS - 1) as u64,
+            "Q13 at {level:?}: customer and orders must each prune {} buckets, saw {} pruned",
+            TENANTS - 1,
+            stats.partitions_pruned
+        );
+    }
+}
+
+/// A WHERE conjunct on the null-extended (right) side of a LEFT JOIN stays
+/// above the join: `o_orderkey IS NULL` keeps exactly the customers without
+/// a matching order — the anti-join `NOT EXISTS` answer — while the
+/// left-side conjunct is free to filter the preserved scan.
+#[test]
+fn left_join_right_side_is_null_keeps_null_extended_rows() {
+    let dep = deployment(true);
+    let mut conn = dep.server.connect(1);
+    conn.execute("SET SCOPE = \"IN (1)\"")
+        .expect("scope statement");
+    let left_join = conn
+        .query(
+            "SELECT c_custkey FROM customer LEFT OUTER JOIN orders \
+             ON c_custkey = o_custkey AND o_orderdate < DATE '1992-09-01' \
+             WHERE o_orderkey IS NULL AND c_acctbal > 0 ORDER BY c_custkey",
+        )
+        .expect("left join");
+    let anti = conn
+        .query(
+            "SELECT c_custkey FROM customer \
+             WHERE NOT EXISTS (SELECT 1 FROM orders \
+                               WHERE o_custkey = c_custkey AND o_orderdate < DATE '1992-09-01') \
+             AND c_acctbal > 0 ORDER BY c_custkey",
+        )
+        .expect("not exists");
+    let all = conn
+        .query("SELECT c_custkey FROM customer WHERE c_acctbal > 0")
+        .expect("customers");
+    assert!(
+        !anti.rows.is_empty() && anti.rows.len() < all.rows.len(),
+        "fixture needs customers with and without an early order"
+    );
+    assert_eq!(left_join, anti);
+}

@@ -340,22 +340,24 @@ fn interpreted_residual_conjuncts_engage_the_pool() {
 // ---------------------------------------------------------------------------
 
 /// Build a two-table deployment for the decorrelation property: an outer
-/// `Cust` and an inner `Ords` with nullable join-key columns, rows spread
-/// across two tenants so the scope rewrite injects `ttid` equi-correlations
-/// into the sub-queries (exactly the Q22 shape). Tables are tiny — a fresh
-/// pair of servers per generated case keeps the decorrelated and interpreted
-/// deployments bit-identical in content.
+/// `Cust` and an inner `Ords` with nullable join-key and value columns, rows
+/// spread across two tenants so the scope rewrite injects `ttid`
+/// equi-correlations into sub-queries that compare the tenant-specific keys
+/// (exactly the Q22 shape). The value columns are comparable, so a
+/// correlation on values alone carries no `ttid` key. Tables are tiny — a
+/// fresh server per generated case keeps the compared deployments
+/// bit-identical in content.
 fn join_server(
     engine_config: EngineConfig,
-    cust: &[(Option<i64>, i64)],
-    ords: &[(Option<i64>, i64)],
+    cust: &[(Option<i64>, Option<i64>)],
+    ords: &[(Option<i64>, Option<i64>)],
 ) -> std::sync::Arc<mtbase::MtBase> {
     use mtbase::Value;
     use mtsql::ast::Statement;
     let server = mtbase::MtBase::new(engine_config);
     for ddl in [
-        "CREATE TABLE Cust SPECIFIC (c_id INTEGER SPECIFIC, c_val INTEGER NOT NULL SPECIFIC)",
-        "CREATE TABLE Ords SPECIFIC (o_cust INTEGER SPECIFIC, o_val INTEGER NOT NULL SPECIFIC)",
+        "CREATE TABLE Cust SPECIFIC (c_id INTEGER SPECIFIC, c_val INTEGER COMPARABLE)",
+        "CREATE TABLE Ords SPECIFIC (o_cust INTEGER SPECIFIC, o_val INTEGER COMPARABLE)",
     ] {
         match mtsql::parse_statement(ddl).expect("DDL parses") {
             Statement::CreateTable(ct) => server.create_table(&ct).expect("create table"),
@@ -367,14 +369,14 @@ fn join_server(
     }
     server.grant_read_all(1).expect("grant read");
     let int_or_null = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
-    let rows = |data: &[(Option<i64>, i64)]| -> Vec<Vec<Value>> {
+    let rows = |data: &[(Option<i64>, Option<i64>)]| -> Vec<Vec<Value>> {
         data.iter()
             .enumerate()
             .map(|(i, &(key, val))| {
                 vec![
                     Value::Int(i as i64 % 2 + 1),
                     int_or_null(key),
-                    Value::Int(val),
+                    int_or_null(val),
                 ]
             })
             .collect()
@@ -388,31 +390,69 @@ fn join_server(
     server
 }
 
-/// Correlated predicate templates over `Cust`/`Ords`. The first five unnest
-/// (equi-correlated EXISTS / NOT EXISTS / scalar aggregates on either side
-/// of the comparison); the last two are deliberate bail cases — a non-equi
-/// correlation and a COUNT aggregate (whose zero-over-empty vs NULL-over-
-/// empty semantics the rewrite refuses to touch) — pinning that the planner
-/// falls back to the interpreted sub-query rather than rewriting wrongly.
-const JOIN_TEMPLATES: [&str; 7] = [
+/// Random `(key, value)` rows derived from `seed` with a local SplitMix
+/// step — ~1 in 5 keys and values NULL, small enough to collide often.
+fn seeded_rows(seed: u64, counts: [usize; 2]) -> [Vec<(Option<i64>, Option<i64>)>; 2] {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^ (z >> 27)
+    };
+    let mut nullable = |modulus: u64| {
+        if next() % 5 == 0 {
+            None
+        } else {
+            Some((next() % modulus) as i64)
+        }
+    };
+    counts.map(|n| (0..n).map(|_| (nullable(6), nullable(12))).collect())
+}
+
+/// Correlated predicate templates over `Cust`/`Ords`. The first seven
+/// unnest: equi-correlated EXISTS / NOT EXISTS, scalar aggregates on either
+/// side of the comparison, and EXISTS / NOT EXISTS with a non-equi residual
+/// (`o_val <> c_val`, the Q21 shape) over NULL values. The last two are
+/// deliberate bail cases — a COUNT aggregate (whose zero-over-empty vs
+/// NULL-over-empty semantics the rewrite refuses to touch) and a residual
+/// with no equi-key (a cross product) — pinning that the planner falls back
+/// to the interpreted sub-query rather than rewriting wrongly.
+const JOIN_TEMPLATES: [&str; 9] = [
     "EXISTS (SELECT 1 FROM Ords WHERE o_cust = c_id AND o_val > {k})",
     "NOT EXISTS (SELECT 1 FROM Ords WHERE o_cust = c_id AND o_val > {k})",
     "c_val < (SELECT AVG(o_val) FROM Ords WHERE o_cust = c_id)",
     "c_val >= (SELECT SUM(o_val) FROM Ords WHERE o_cust = c_id)",
     "(SELECT MAX(o_val) FROM Ords WHERE o_cust = c_id) > {k}",
     "NOT EXISTS (SELECT 1 FROM Ords WHERE o_cust = c_id AND o_val <> c_val)",
+    "EXISTS (SELECT 1 FROM Ords WHERE o_cust = c_id AND o_val <> c_val)",
     "c_val < (SELECT COUNT(*) FROM Ords WHERE o_cust = c_id)",
+    "EXISTS (SELECT 1 FROM Ords WHERE o_val <> c_val)",
 ];
-const UNNESTING_TEMPLATES: usize = 5;
+const UNNESTING_TEMPLATES: usize = 7;
+
+/// Disjunctive join predicates over `Cust`/`Ords` whose join key repeats in
+/// every disjunct (the Q19 shape), written with varying operand order and
+/// NULL-sensitive conjuncts; one is absorbed outright by factoring.
+const OR_TEMPLATES: [&str; 4] = [
+    "(o_cust = c_id AND c_val > {k} AND o_val < {k}) \
+     OR (o_cust = c_id AND c_val IS NULL) \
+     OR (o_cust = c_id AND o_val IS NULL AND c_val < {k})",
+    "(o_cust = c_id AND o_val <> c_val) OR (c_val = o_val AND o_cust = c_id)",
+    "(o_cust = c_id) OR (o_cust = c_id AND o_val > {k})",
+    "(o_cust = c_id AND c_val BETWEEN 1 AND {k} AND o_val > 2) \
+     OR (o_cust = c_id AND c_val NOT IN (1, {k}) AND o_val IS NOT NULL)",
+];
 
 proptest! {
     /// Decorrelated semi-/anti-/aggregate-joins must agree with the
     /// interpreted correlated plans on randomized data — including NULL join
     /// keys on both sides (anti-join 3VL: a NULL probe key matches nothing,
-    /// so `NOT EXISTS` keeps the row) and empty inner sides (scalar
-    /// aggregates over zero rows are NULL, never zero). The unnesting
-    /// templates must actually rewrite, and the baseline deployment must
-    /// never report an unnested sub-query.
+    /// so `NOT EXISTS` keeps the row), NULL residual operands (a NULL
+    /// `o_val <> c_val` is not true for that candidate) and empty inner
+    /// sides (scalar aggregates over zero rows are NULL, never zero). The
+    /// unnesting templates must actually rewrite, and the baseline
+    /// deployment must never report an unnested sub-query.
     #[test]
     fn decorrelated_joins_match_interpreted_subqueries(
         template_idx in 0_usize..JOIN_TEMPLATES.len(),
@@ -421,26 +461,7 @@ proptest! {
         k in 0_i64..12,
         seed in 0_u64..1_000_000,
     ) {
-        // Derive table contents from the seed with a local SplitMix step —
-        // ~1 in 5 join keys NULL, values small enough to collide often.
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z ^ (z >> 27)
-        };
-        let mut gen_rows = |n: usize| -> Vec<(Option<i64>, i64)> {
-            (0..n)
-                .map(|_| {
-                    let key = if next() % 5 == 0 { None } else { Some((next() % 6) as i64) };
-                    (key, (next() % 12) as i64)
-                })
-                .collect()
-        };
-        let cust = gen_rows(cust_n);
-        let ords = gen_rows(ords_n);
-
+        let [cust, ords] = seeded_rows(seed, [cust_n, ords_n]);
         let decorr = join_server(EngineConfig::default(), &cust, &ords);
         let interp = join_server(EngineConfig::default().without_decorrelation(), &cust, &ords);
         let pred = JOIN_TEMPLATES[template_idx].replace("{k}", &k.to_string());
@@ -462,6 +483,48 @@ proptest! {
         } else {
             prop_assert_eq!(dunnested, 0);
         }
+    }
+
+    /// Disjunction normalization must not change results: each OR template
+    /// agrees with the same predicate wrapped as `CASE WHEN <pred> THEN 1
+    /// ELSE 0 END = 1` — one conjunct the pass leaves alone, so it plans as
+    /// a filter over the cross product — on randomized tables with NULL keys
+    /// and values. The factored join key must plan as a hash join. The
+    /// tables live on a bare engine: the pass is a planner rewrite, and the
+    /// MTSQL rewrite refuses a CASE over tenant-specific comparisons.
+    #[test]
+    fn factored_disjunctions_match_the_unfactored_predicate(
+        template_idx in 0_usize..OR_TEMPLATES.len(),
+        cust_n in 0_usize..10,
+        ords_n in 0_usize..12,
+        k in 0_i64..12,
+        seed in 0_u64..1_000_000,
+    ) {
+        use mtbase::Value;
+        let [cust, ords] = seeded_rows(seed, [cust_n, ords_n]);
+        let mut engine = mtengine::Engine::new(EngineConfig::default());
+        let int_or_null = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        for (table, cols, data) in [("Cust", ["c_id", "c_val"], &cust), ("Ords", ["o_cust", "o_val"], &ords)] {
+            engine.create_table(table, &cols);
+            let rows = data.iter().map(|&(key, val)| vec![int_or_null(key), int_or_null(val)]);
+            engine.insert_values(table, rows.collect()).expect("load rows");
+        }
+        let pred = OR_TEMPLATES[template_idx].replace("{k}", &k.to_string());
+        let select = "SELECT c_id, c_val, o_cust, o_val FROM Cust, Ords WHERE";
+        let order = "ORDER BY c_id, c_val, o_cust, o_val";
+        let factored = format!("{select} {pred} {order}");
+        let oracle = format!("{select} CASE WHEN {pred} THEN 1 ELSE 0 END = 1 {order}");
+
+        let query = mtsql::parse_query(&factored).expect("parses");
+        let plan = engine.plan_query(&query).expect("plans");
+        let text = mtengine::plan::explain(&engine, &plan);
+        prop_assert!(
+            text.contains("HashJoin Inner") && text.contains("o_cust"),
+            "no hash join on the factored key:\n{}",
+            text
+        );
+        let run = |sql: &str| engine.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        prop_assert_eq!(run(&factored), run(&oracle));
     }
 }
 

@@ -1,9 +1,9 @@
 //! Plan snapshot tests: golden `EXPLAIN` output for Q1, Q6 and Q22 at o2 and
-//! o4 under a scoped deployment (D = {1, 2} of 4 tenants), asserting that the
-//! derived-table pushdown lands the tenant-pruning conjuncts on the base
-//! scans, plus engine-level checks that conjuncts transpose through derived
-//! table projections where the AST interpreter used to filter only after
-//! materialization.
+//! o4, and for Q19 and Q21 at o2, under a scoped deployment (D = {1, 2} of 4
+//! tenants), asserting that the derived-table pushdown lands the
+//! tenant-pruning conjuncts on the base scans, plus engine-level checks
+//! that conjuncts transpose through derived table projections where the
+//! AST interpreter used to filter only after materialization.
 //!
 //! Regenerate the golden files with:
 //! `UPDATE_GOLDEN=1 cargo test --test plan_explain`
@@ -89,9 +89,14 @@ fn nodecorr_deployment() -> MthDeployment {
 }
 
 fn explain(dep: &MthDeployment, query: usize, level: OptLevel) -> String {
+    explain_scoped(dep, "IN (1, 2)", query, level)
+}
+
+fn explain_scoped(dep: &MthDeployment, scope: &str, query: usize, level: OptLevel) -> String {
     let mut conn = dep.server.connect(1);
     conn.set_opt_level(level);
-    conn.execute("SET SCOPE = \"IN (1, 2)\"").expect("scope");
+    conn.execute(&format!("SET SCOPE = \"{scope}\""))
+        .expect("scope");
     let rs = conn
         .query(&format!("EXPLAIN {}", queries::query(query)))
         .unwrap_or_else(|e| panic!("EXPLAIN Q{query} at {level:?}: {e}"));
@@ -223,6 +228,98 @@ fn explain_shows_decorrelated_joins() {
         "baseline plan must keep the interpreted sub-query:\n{nodecorr_text}"
     );
     check_golden("explain_q22_o2_nodecorr.txt", &nodecorr_text);
+}
+
+/// Q19's disjunction factors into a hash join with single-table
+/// disjunctions pushed into both scans, and Q21's two non-equi correlated
+/// sub-queries plan as semi/anti joins carrying the `<>` as a residual.
+/// Q21's semi join probes a join tree, so EXPLAIN labels it a set probe;
+/// Q4's semi join probes a plain scan and gets the kernel label. Q19 and
+/// Q21 are pinned as golden snapshots.
+#[test]
+fn explain_shows_factored_or_and_residual_semi_joins() {
+    let dep = deployment();
+    let q19 = explain(&dep, 19, OptLevel::O2);
+    assert!(
+        q19.contains("HashJoin Inner [l_partkey = p_partkey]")
+            && !q19.contains("NestedLoopJoin")
+            && q19.contains("SeqScan part [filter: "),
+        "Q19 did not factor its join key out of the OR:\n{q19}"
+    );
+    let q21 = explain(&dep, 21, OptLevel::O2);
+    for variant in ["HashJoin semi", "HashJoin anti"] {
+        let line = q21
+            .lines()
+            .find(|l| l.contains(variant))
+            .unwrap_or_else(|| panic!("Q21 lost its {variant}:\n{q21}"));
+        assert!(
+            line.contains("[residual: ($r0 <> l1.l_suppkey)]")
+                && line.contains("[bloom: build-key set probe]"),
+            "Q21 {variant} line: {line}"
+        );
+    }
+    assert!(
+        !q21.contains("EXISTS"),
+        "Q21 kept an interpreted sub-query:\n{q21}"
+    );
+    let q4 = explain(&dep, 4, OptLevel::O2);
+    assert!(
+        q4.contains("HashJoin semi") && q4.contains("[bloom: build-key kernel on probe scan]"),
+        "Q4's semi join over a plain scan lost its kernel label:\n{q4}"
+    );
+    check_golden("explain_q19_o2.txt", &q19);
+    check_golden("explain_q21_o2.txt", &q21);
+}
+
+/// No quadratic plans in MT-H: across all 22 queries, at o2 no plan holds a
+/// nested-loop join, and at o4 the only one is the cross product with the
+/// single `Tenant` row the client's conversion pins by `T_tenant_key =
+/// <const>`. Checked for a partial and the full tenant scope.
+#[test]
+fn mth_plans_hold_no_cross_product_beyond_the_pinned_tenant_row() {
+    let dep = deployment();
+    let pinned_tenant_row = |line: &str| {
+        let Some(rest) = line.trim().strip_prefix("SeqScan Tenant AS ") else {
+            return false;
+        };
+        let Some((alias, filter)) = rest.split_once(' ') else {
+            return false;
+        };
+        let Some(filter) = filter.strip_prefix(&format!("[filter: ({alias}.T_tenant_key = "))
+        else {
+            return false;
+        };
+        let digits = filter.find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
+        digits > 0 && filter[digits..].starts_with(");")
+    };
+    for scope in ["IN (1, 2)", "IN (1, 2, 3, 4)"] {
+        for query in queries::all_query_numbers() {
+            for level in [OptLevel::O2, OptLevel::O4] {
+                let text = explain_scoped(&dep, scope, query, level);
+                let lines: Vec<&str> = text.lines().collect();
+                for (i, line) in lines.iter().enumerate() {
+                    if !line.contains("NestedLoopJoin") {
+                        continue;
+                    }
+                    let indent = line.len() - line.trim_start().len();
+                    let children: Vec<&str> = lines[i + 1..]
+                        .iter()
+                        .take_while(|l| l.len() - l.trim_start().len() > indent)
+                        .filter(|l| l.len() - l.trim_start().len() == indent + 2)
+                        .copied()
+                        .collect();
+                    assert!(
+                        level == OptLevel::O4
+                            && line.trim() == "NestedLoopJoin Cross"
+                            && children.len() == 2
+                            && pinned_tenant_row(children[1]),
+                        "Q{query} at {level:?} under `{scope}` has a nested-loop join \
+                         beyond the pinned Tenant row:\n{text}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// At o4 every conversion-heavy query wraps its scans in the `mt_partials`
