@@ -107,9 +107,10 @@ impl Connection {
     }
 
     /// Scan counters (rows scanned, partitions scanned/pruned, UDF activity)
-    /// attributable to the last statement this connection executed. The delta
-    /// is taken over the shared engine counters, so interleaving statements
-    /// from other connections inflate it.
+    /// of the last statement this connection executed. The engine counters
+    /// cover this statement's work only, whatever other connections run
+    /// meanwhile; the UDF counts and the WAL and dictionary gauges are
+    /// engine-wide windows over the statement.
     pub fn last_query_stats(&self) -> StatsSnapshot {
         self.last_stats
     }
@@ -168,12 +169,12 @@ impl Connection {
         Ok(rewriter.rewrite_query(query, self.client, &dataset, self.opt_level())?)
     }
 
-    /// Execute a parsed statement, recording the engine-counter delta as this
-    /// connection's last-query scan statistics.
+    /// Execute a parsed statement, recording its stats as this connection's
+    /// last-query scan statistics.
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<ResultSet> {
-        let before = self.server.stats();
-        let result = self.execute_statement_inner(stmt);
-        self.last_stats = self.server.stats().delta_from(&before);
+        let server = Arc::clone(&self.server);
+        let (result, stats) = server.run_statement(|| self.execute_statement_inner(stmt));
+        self.last_stats = stats;
         result
     }
 

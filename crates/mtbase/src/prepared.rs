@@ -111,13 +111,13 @@ impl Statement {
     /// result set. Equivalent to draining [`Statement::cursor`].
     pub fn execute(&mut self) -> Result<ResultSet> {
         self.check_bound()?;
-        let before = self.server.stats();
-        let result = (|| {
+        let server = Arc::clone(&self.server);
+        let (result, stats) = server.run_statement(|| {
             let cached = self.resolve()?;
             let engine = self.server.engine.read();
             Ok(engine.execute_plan(&cached.plan, &self.params)?)
-        })();
-        self.last_stats = self.server.stats().delta_from(&before);
+        });
+        self.last_stats = stats;
         result
     }
 
@@ -155,7 +155,7 @@ impl Statement {
         Ok(self.resolve()?.rewritten.clone())
     }
 
-    /// Engine-counter delta of the last `execute` (see
+    /// Stats of the last `execute` (see
     /// [`crate::Connection::last_query_stats`]); `prepared_cache_hits` /
     /// `prepared_cache_misses` record whether that execution reused a plan.
     pub fn last_query_stats(&self) -> StatsSnapshot {

@@ -4,6 +4,7 @@
 use std::sync::{Arc, OnceLock};
 
 use mtcatalog::{Catalog, ConversionFnPair, Privilege, TenantId, TTID_COLUMN};
+use mtengine::stats::{EngineCounters, StatementScope};
 use mtengine::udf::UdfImpl;
 use mtengine::{Engine, EngineConfig, LockManager, MetaOp, ResultSet, Transaction, Value};
 use mtrewrite::{InlineRegistry, OptLevel, Rewriter};
@@ -254,6 +255,23 @@ impl MtBase {
     /// Snapshot the engine statistics.
     pub fn stats(&self) -> mtengine::stats::StatsSnapshot {
         self.engine.read().stats()
+    }
+
+    /// Run one statement's `work` on this thread and return its result with
+    /// the statement's own stats: the engine counters it moved, not those
+    /// other sessions moved meanwhile.
+    pub(crate) fn run_statement<R>(
+        &self,
+        work: impl FnOnce() -> R,
+    ) -> (R, mtengine::stats::StatsSnapshot) {
+        let before = self.stats();
+        let counters = std::rc::Rc::new(EngineCounters::new());
+        let result = {
+            let _scope = StatementScope::enter(&counters);
+            work()
+        };
+        let stats = counters.statement_stats(&self.stats().delta_from(&before));
+        (result, stats)
     }
 
     /// Install a crash-fault injection clock on the engine's WAL writer

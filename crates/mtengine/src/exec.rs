@@ -13,7 +13,7 @@
 //! `ttid = k` / `ttid IN (...)` pruning predicates exclude, and — when
 //! [`crate::EngineConfig::parallel_scan`] (or its `MT_THREADS` execution-time
 //! override) allows — runs *morsel-driven*: the selected buckets are split
-//! into fixed-size row-range morsels ([`crate::EngineConfig::morsel_rows`])
+//! into fixed-size row-range morsels ([`crate::DEFAULT_MORSEL_ROWS`] rows)
 //! pulled by a scoped worker pool, each worker running the whole filter per
 //! morsel — column kernels first, interpreted conjuncts on the
 //! late-materialized survivors — and the per-morsel outputs merge in morsel
@@ -78,15 +78,6 @@ pub(crate) fn effective_parallel_budget(config: &crate::EngineConfig) -> usize {
                 .filter(|&n| n > 0)
         })
         .unwrap_or(config.parallel_scan)
-}
-
-/// The configured morsel size, with `0` falling back to the default.
-pub(crate) fn morsel_rows(config: &crate::EngineConfig) -> usize {
-    if config.morsel_rows == 0 {
-        crate::DEFAULT_MORSEL_ROWS
-    } else {
-        config.morsel_rows
-    }
 }
 
 /// Number of workers a scan over `total_rows` split into `morsel_count`
@@ -892,10 +883,9 @@ impl<'e> Executor<'e> {
         // `try_parallel_aggregate` declined for sub-query reasons, at least
         // its scan pools), and this one-pass grouping scan runs serially.
         let total_rows: usize = selected.iter().map(|&(_, v)| v).sum();
-        let step = morsel_rows(&self.engine.config());
         if scan_worker_count(
             effective_parallel_budget(&self.engine.config()),
-            morsel_count(&selected, step),
+            morsel_count(&selected, crate::DEFAULT_MORSEL_ROWS),
             total_rows,
         ) > 1
         {
@@ -1103,7 +1093,7 @@ impl<'e> Executor<'e> {
         let (selected, buckets_scanned, buckets_pruned) =
             select_buckets(table, &prune_keys, self.snapshot.as_ref());
         let total: usize = selected.iter().map(|&(_, v)| v).sum();
-        let morsels = build_morsels(&selected, morsel_rows(&self.engine.config()));
+        let morsels = build_morsels(&selected, crate::DEFAULT_MORSEL_ROWS);
         let threads = scan_worker_count(budget, morsels.len(), total);
         if threads <= 1 {
             return Ok(None);
@@ -1475,7 +1465,7 @@ impl<'e> Executor<'e> {
         let budget = effective_parallel_budget(&self.engine.config());
         let fast = filter.iter().all(CompiledPred::is_fast);
         let pool = if budget > 1 && (fast || outer.is_none()) {
-            let morsels = build_morsels(selected, morsel_rows(&self.engine.config()));
+            let morsels = build_morsels(selected, crate::DEFAULT_MORSEL_ROWS);
             let threads = scan_worker_count(budget, morsels.len(), total);
             (threads > 1).then_some((morsels, threads))
         } else {
@@ -2189,7 +2179,7 @@ impl<'e> Executor<'e> {
         // construction (keys read by index, and the rewritten residual only
         // references the probe and build schemas — see `decorrelate`).
         let pool = if budget > 1 && (fast || outer.is_none()) {
-            let morsels = build_morsels(&selected, morsel_rows(&self.engine.config()));
+            let morsels = build_morsels(&selected, crate::DEFAULT_MORSEL_ROWS);
             let threads = scan_worker_count(budget, morsels.len(), total);
             (threads > 1).then_some((morsels, threads))
         } else {

@@ -52,7 +52,7 @@
 //! transformation, so it also crosses derived-table boundaries (conjuncts
 //! transpose through sub-select projections onto the base scans), and large
 //! scans run *morsel-driven*: the selected buckets are split into fixed-size
-//! row-range morsels ([`EngineConfig::morsel_rows`]) pulled by a scoped
+//! row-range morsels ([`DEFAULT_MORSEL_ROWS`] rows) pulled by a scoped
 //! worker pool (`EngineConfig::parallel_scan`, overridable at execution time
 //! through the `MT_THREADS` environment variable). Each worker runs the
 //! whole pipeline per morsel — predicate kernels, late materialization and,
@@ -141,7 +141,9 @@ pub use crate::value::Value;
 pub use crate::verify::{PlanError, PlanErrorClass};
 pub use crate::wal::{CrashMode, FailpointClock, MetaOp, WalHandle};
 
-/// Default morsel size in rows (see [`EngineConfig::morsel_rows`]).
+/// Rows per morsel — the unit of work the scan pool's workers pull. Scans
+/// smaller than one pool engagement threshold (8192 rows) always run
+/// serially.
 pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
 /// Validate the process-wide environment overrides eagerly: `MT_THREADS`
@@ -193,7 +195,7 @@ pub struct EngineConfig {
     pub partition_pruning: bool,
     /// Maximum worker threads a single base-table scan may fan out to. `0`
     /// or `1` scans serially. Pooled scans split their selected buckets into
-    /// fixed-size row-range morsels (see [`EngineConfig::morsel_rows`])
+    /// fixed-size row-range morsels of [`DEFAULT_MORSEL_ROWS`] rows
     /// pulled by the workers, and per-morsel outputs — row batches, or
     /// partial aggregate states when the scan feeds a `HashAggregate` — are
     /// merged in morsel order, so results are identical to a serial scan.
@@ -204,11 +206,6 @@ pub struct EngineConfig {
     /// bench/CI runs force the pool on without touching deployment
     /// configuration); `EXPLAIN` keeps reporting the configured budget.
     pub parallel_scan: usize,
-    /// Rows per morsel — the unit of work the pool's workers pull. Smaller
-    /// morsels balance better across workers; larger ones amortize per-morsel
-    /// overhead. `0` falls back to the default (4096). Scans smaller than
-    /// one pool engagement threshold (8192 rows) always run serially.
-    pub morsel_rows: usize,
     /// Store partition buckets in the columnar layout (typed per-column
     /// arrays + null bitmaps) and scan them vectorized: compiled predicates
     /// run as column kernels over a selection bitmap and only qualifying
@@ -262,7 +259,7 @@ pub struct EngineConfig {
     /// critical section, then parks until a flush covers its commit LSN —
     /// whoever arrives first syncs for everyone appended meanwhile.
     /// Disabling recovers the PR 6 behaviour (one inline fsync per commit,
-    /// writers fully serialized) as the bench baseline. Only meaningful on
+    /// writers fully serialized) as the baseline. Only meaningful on
     /// durable engines.
     pub group_commit: bool,
 }
@@ -273,7 +270,6 @@ impl Default for EngineConfig {
             cache_immutable_udfs: true,
             partition_pruning: true,
             parallel_scan: 1,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             columnar_scan: true,
             dictionary_encoding: true,
             decorrelation: true,
@@ -313,12 +309,6 @@ impl EngineConfig {
         self
     }
 
-    /// Set the morsel size in rows (builder-style). `0` keeps the default.
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows;
-        self
-    }
-
     /// Disable the columnar bucket layout (builder-style): partition buckets
     /// keep the row layout, the baseline the columnar path is verified
     /// against.
@@ -343,15 +333,6 @@ impl EngineConfig {
         self
     }
 
-    /// Request write-ahead logging (builder-style). Only effective when the
-    /// engine is opened against a log path ([`Engine::open`], which sets
-    /// this flag itself — the builder exists so deployment code can carry
-    /// the intent in its configuration matrix).
-    pub fn with_durability(mut self) -> Self {
-        self.durability = true;
-        self
-    }
-
     /// Force the static plan verifier on (builder-style) regardless of the
     /// build profile — release deployments that want corrupt plans rejected
     /// before execution.
@@ -361,8 +342,8 @@ impl EngineConfig {
     }
 
     /// Force the static plan verifier off (builder-style) — the zero-check
-    /// baseline the `pr9_verify` bench compares against. `MT_VERIFY=1`
-    /// still overrides at execution time.
+    /// baseline `tests/plan_equivalence.rs` compares verified plans against.
+    /// `MT_VERIFY=1` still overrides at execution time.
     pub fn without_verify_plans(mut self) -> Self {
         self.verify_plans = false;
         self
@@ -370,7 +351,7 @@ impl EngineConfig {
 
     /// Disable group commit (builder-style): every WAL commit syncs inline
     /// under the writer lock, one fsync per transaction — the PR 6 baseline
-    /// the `pr10_txn` bench compares against.
+    /// `tests/wal_recovery.rs` compares group commit against.
     pub fn without_group_commit(mut self) -> Self {
         self.group_commit = false;
         self
@@ -819,29 +800,14 @@ impl Engine {
     pub fn stats(&self) -> StatsSnapshot {
         let udf = self.udfs.stats();
         StatsSnapshot {
-            rows_scanned: self.counters.rows_scanned(),
-            partitions_scanned: self.counters.partitions_scanned(),
-            partitions_pruned: self.counters.partitions_pruned(),
-            parallel_scans: self.counters.parallel_scans(),
-            morsels_dispatched: self.counters.morsels_dispatched(),
-            morsel_workers: self.counters.morsel_workers(),
-            partial_agg_merges: self.counters.partial_agg_merges(),
-            rows_vectorized: self.counters.rows_vectorized(),
-            late_materialized: self.counters.late_materialized(),
-            dict_kernel_rows: self.counters.dict_kernel_rows(),
-            subqueries_unnested: self.counters.subqueries_unnested(),
             dict_columns: self.db.tables().map(|t| t.dict_column_count() as u64).sum(),
             udf_calls: udf.calls,
             udf_cache_hits: udf.cache_hits,
-            prepared_cache_hits: self.counters.prepared_cache_hits(),
-            prepared_cache_misses: self.counters.prepared_cache_misses(),
-            plans_verified: self.counters.plans_verified(),
-            txn_commits: self.counters.txn_commits(),
-            txn_rollbacks: self.counters.txn_rollbacks(),
             // Gauges from the WAL writer (like `dict_columns`, not reset by
             // `reset_stats` — `delta_from` handles windowing).
             wal_commits: self.wal.as_ref().map_or(0, |w| w.commits()),
             wal_fsyncs: self.wal.as_ref().map_or(0, |w| w.fsyncs()),
+            ..self.counters.snapshot()
         }
     }
 

@@ -1021,7 +1021,7 @@ fn scan_pool_workers(engine: &Engine, scan: &SeqScan) -> Option<usize> {
         None => table.partitions().map(|(_, b)| b.len()).collect(),
     };
     let total: usize = selected.iter().sum();
-    let step = crate::exec::morsel_rows(&engine.config()).max(1);
+    let step = crate::DEFAULT_MORSEL_ROWS;
     let morsels: usize = selected.iter().map(|len| len.div_ceil(step)).sum();
     Some(crate::exec::scan_worker_count(budget, morsels, total))
 }

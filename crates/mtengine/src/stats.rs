@@ -8,6 +8,8 @@
 //! actually visited, while `partitions_pruned` counts the foreign-tenant
 //! buckets it skipped without touching their rows.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Point-in-time snapshot of engine counters.
@@ -23,7 +25,7 @@ pub struct StatsSnapshot {
     pub parallel_scans: u64,
     /// Fixed-size row-range morsels dispatched to the worker pool. Every
     /// pooled scan (and pooled aggregation) splits its selected buckets into
-    /// morsels of [`crate::EngineConfig::morsel_rows`] rows; this counts the
+    /// morsels of [`crate::DEFAULT_MORSEL_ROWS`] rows; this counts the
     /// morsels actually pulled by workers.
     pub morsels_dispatched: u64,
     /// Worker threads spawned by pooled scans, accumulated per scan (a scan
@@ -75,8 +77,7 @@ pub struct StatsSnapshot {
     pub prepared_cache_misses: u64,
     /// Plans accepted by the static verifier ([`crate::verify`]) before
     /// execution. Zero when [`crate::EngineConfig::verify_plans`] is off —
-    /// the `pr9_verify` bench reads this to prove the verifier actually
-    /// engaged on the measured leg.
+    /// tests read this to prove the verifier actually engaged.
     pub plans_verified: u64,
     /// Multi-statement transactions published ([`crate::Engine::txn_publish`]).
     pub txn_commits: u64,
@@ -90,15 +91,15 @@ pub struct StatsSnapshot {
     pub wal_commits: u64,
     /// fsync (`sync_data`) calls issued by the WAL writer. With group commit
     /// on and concurrent committers, `wal_fsyncs / wal_commits` drops below
-    /// one — the batching the `pr10_txn` bench measures. Same gauge
+    /// one — the batching `tests/wal_recovery.rs` pins. Same gauge
     /// semantics as [`StatsSnapshot::wal_commits`].
     pub wal_fsyncs: u64,
 }
 
 impl StatsSnapshot {
     /// Field-wise `self - before`, saturating at zero (a concurrent
-    /// `reset_stats` may move counters backwards). Used to attribute the
-    /// shared engine counters to one statement execution.
+    /// `reset_stats` may move counters backwards). Windows the engine-wide
+    /// counters and gauges over a statement or a workload.
     pub fn delta_from(&self, before: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             rows_scanned: self.rows_scanned.saturating_sub(before.rows_scanned),
@@ -167,22 +168,103 @@ pub struct EngineCounters {
     txn_rollbacks: AtomicU64,
 }
 
+thread_local! {
+    /// The counters of the statement running on this thread, if any (see
+    /// [`StatementScope`]).
+    static STATEMENT: RefCell<Option<Rc<EngineCounters>>> = const { RefCell::new(None) };
+}
+
+/// While alive, mirrors every engine counter increment made on this thread
+/// into one statement's own [`EngineCounters`], so the statement's counters
+/// hold its own work only, whatever other sessions run on the same engine.
+/// This relies on a statement's increments all happening on its own thread:
+/// morsel workers return their tallies to it (sub-query conjuncts, which
+/// could scan, never run on workers). Dropping the scope restores the
+/// thread's previous statement, if any.
+pub struct StatementScope {
+    previous: Option<Rc<EngineCounters>>,
+}
+
+impl StatementScope {
+    /// Make `counters` this thread's statement counters.
+    pub fn enter(counters: &Rc<EngineCounters>) -> Self {
+        let previous = STATEMENT.with(|s| s.replace(Some(Rc::clone(counters))));
+        StatementScope { previous }
+    }
+}
+
+impl Drop for StatementScope {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        STATEMENT.with(|s| s.replace(previous));
+    }
+}
+
 impl EngineCounters {
     /// New zeroed counters.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Add `n` to one counter, here and in the counters of the statement
+    /// running on this thread.
+    fn bump(&self, field: fn(&EngineCounters) -> &AtomicU64, n: u64) {
+        field(self).fetch_add(n, Ordering::Relaxed);
+        STATEMENT.with(|s| {
+            if let Some(statement) = s.borrow().as_ref() {
+                field(statement).fetch_add(n, Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// A statement's stats: these counters, plus the gauges and the UDF
+    /// counts of `engine_delta`, the engine-wide window over the statement
+    /// (UDF counts are engine-wide, so concurrent sessions still reach them).
+    pub fn statement_stats(&self, engine_delta: &StatsSnapshot) -> StatsSnapshot {
+        StatsSnapshot {
+            dict_columns: engine_delta.dict_columns,
+            udf_calls: engine_delta.udf_calls,
+            udf_cache_hits: engine_delta.udf_cache_hits,
+            wal_commits: engine_delta.wal_commits,
+            wal_fsyncs: engine_delta.wal_fsyncs,
+            ..self.snapshot()
+        }
+    }
+
+    /// The counters as a snapshot. The gauges and the UDF counters, which
+    /// live outside these counters, read 0.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        StatsSnapshot {
+            rows_scanned: load(&self.rows_scanned),
+            partitions_scanned: load(&self.partitions_scanned),
+            partitions_pruned: load(&self.partitions_pruned),
+            parallel_scans: load(&self.parallel_scans),
+            morsels_dispatched: load(&self.morsels_dispatched),
+            morsel_workers: load(&self.morsel_workers),
+            partial_agg_merges: load(&self.partial_agg_merges),
+            rows_vectorized: load(&self.rows_vectorized),
+            late_materialized: load(&self.late_materialized),
+            dict_kernel_rows: load(&self.dict_kernel_rows),
+            subqueries_unnested: load(&self.subqueries_unnested),
+            prepared_cache_hits: load(&self.prepared_cache_hits),
+            prepared_cache_misses: load(&self.prepared_cache_misses),
+            plans_verified: load(&self.plans_verified),
+            txn_commits: load(&self.txn_commits),
+            txn_rollbacks: load(&self.txn_rollbacks),
+            ..StatsSnapshot::default()
+        }
+    }
+
     /// Add to the scanned-row counter.
     pub fn add_rows_scanned(&self, n: u64) {
-        self.rows_scanned.fetch_add(n, Ordering::Relaxed);
+        self.bump(|c| &c.rows_scanned, n);
     }
 
     /// Record one base-table scan: buckets visited and buckets pruned.
     pub fn add_partitions(&self, scanned: u64, pruned: u64) {
-        self.partitions_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-        self.partitions_pruned.fetch_add(pruned, Ordering::Relaxed);
+        self.bump(|c| &c.partitions_scanned, scanned);
+        self.bump(|c| &c.partitions_pruned, pruned);
     }
 
     /// Current scanned-row count.
@@ -202,7 +284,7 @@ impl EngineCounters {
 
     /// Record one scan executed on the parallel fast path.
     pub fn add_parallel_scan(&self) {
-        self.parallel_scans.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.parallel_scans, 1);
     }
 
     /// Current parallel-scan count.
@@ -213,9 +295,8 @@ impl EngineCounters {
     /// Record one pooled scan's morsel accounting: morsels dispatched and
     /// workers spawned.
     pub fn add_morsel_scan(&self, morsels: u64, workers: u64) {
-        self.morsels_dispatched
-            .fetch_add(morsels, Ordering::Relaxed);
-        self.morsel_workers.fetch_add(workers, Ordering::Relaxed);
+        self.bump(|c| &c.morsels_dispatched, morsels);
+        self.bump(|c| &c.morsel_workers, workers);
     }
 
     /// Current dispatched-morsel count.
@@ -230,7 +311,7 @@ impl EngineCounters {
 
     /// Record partial aggregate states merged into a final aggregate.
     pub fn add_partial_agg_merges(&self, n: u64) {
-        self.partial_agg_merges.fetch_add(n, Ordering::Relaxed);
+        self.bump(|c| &c.partial_agg_merges, n);
     }
 
     /// Current partial-aggregate merge count.
@@ -241,9 +322,8 @@ impl EngineCounters {
     /// Record one scan's vectorized-evaluation accounting: rows covered by
     /// column kernels and rows late-materialized after qualifying.
     pub fn add_vectorized(&self, rows: u64, materialized: u64) {
-        self.rows_vectorized.fetch_add(rows, Ordering::Relaxed);
-        self.late_materialized
-            .fetch_add(materialized, Ordering::Relaxed);
+        self.bump(|c| &c.rows_vectorized, rows);
+        self.bump(|c| &c.late_materialized, materialized);
     }
 
     /// Current vectorized-row count.
@@ -258,7 +338,7 @@ impl EngineCounters {
 
     /// Record rows processed through dictionary code space.
     pub fn add_dict_kernel_rows(&self, rows: u64) {
-        self.dict_kernel_rows.fetch_add(rows, Ordering::Relaxed);
+        self.bump(|c| &c.dict_kernel_rows, rows);
     }
 
     /// Current dictionary code-space row count.
@@ -268,7 +348,7 @@ impl EngineCounters {
 
     /// Record correlated sub-queries executed as unnested join plans.
     pub fn add_subqueries_unnested(&self, n: u64) {
-        self.subqueries_unnested.fetch_add(n, Ordering::Relaxed);
+        self.bump(|c| &c.subqueries_unnested, n);
     }
 
     /// Current unnested sub-query count.
@@ -279,9 +359,9 @@ impl EngineCounters {
     /// Record one prepared-plan cache lookup outcome.
     pub fn add_prepared_cache(&self, hit: bool) {
         if hit {
-            self.prepared_cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.bump(|c| &c.prepared_cache_hits, 1);
         } else {
-            self.prepared_cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.bump(|c| &c.prepared_cache_misses, 1);
         }
     }
 
@@ -297,7 +377,7 @@ impl EngineCounters {
 
     /// Record plans accepted by the static verifier.
     pub fn add_plans_verified(&self, n: u64) {
-        self.plans_verified.fetch_add(n, Ordering::Relaxed);
+        self.bump(|c| &c.plans_verified, n);
     }
 
     /// Current verified-plan count.
@@ -307,7 +387,7 @@ impl EngineCounters {
 
     /// Record one transaction published.
     pub fn add_txn_commit(&self) {
-        self.txn_commits.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.txn_commits, 1);
     }
 
     /// Current published-transaction count.
@@ -317,7 +397,7 @@ impl EngineCounters {
 
     /// Record one transaction rolled back.
     pub fn add_txn_rollback(&self) {
-        self.txn_rollbacks.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.txn_rollbacks, 1);
     }
 
     /// Current rolled-back-transaction count.
@@ -364,5 +444,25 @@ mod tests {
         assert_eq!(c.rows_scanned(), 0);
         assert_eq!(c.partitions_scanned(), 0);
         assert_eq!(c.partitions_pruned(), 0);
+    }
+
+    #[test]
+    fn statement_scope_counts_only_its_own_work() {
+        let engine = EngineCounters::new();
+        let statement = Rc::new(EngineCounters::new());
+        {
+            let _scope = StatementScope::enter(&statement);
+            engine.add_rows_scanned(5);
+            // Another session's statement on the same engine, meanwhile.
+            std::thread::scope(|s| {
+                s.spawn(|| engine.add_rows_scanned(100))
+                    .join()
+                    .expect("other session");
+            });
+            engine.add_rows_scanned(2);
+        }
+        engine.add_rows_scanned(1);
+        assert_eq!(engine.rows_scanned(), 108);
+        assert_eq!(statement.rows_scanned(), 7, "own work in scope only");
     }
 }

@@ -319,6 +319,32 @@ fn decorrelation_engages_and_caps_rows_scanned() {
         q22_scanned <= 3 * base,
         "Q22 scanned {q22_scanned} rows; ceiling is 3x base rows ({base})"
     );
+
+    // Q22's scan cut against the interpreted baseline: at least 50x over all
+    // tenants. The cut grows with the data (about 2x at the sweep's scale
+    // 0.08, 68x at scale 4), so this pair loads scale 4 — each deployment
+    // its own, so no concurrently running sibling reaches its counters.
+    let config = MthConfig {
+        scale: 4.0,
+        tenants: TENANTS,
+        distribution: TenantDistribution::Uniform,
+        seed: 42,
+    };
+    let data = gen::generate(&config);
+    let q22_rows_scanned = |engine_config| {
+        let dep = loader::load_from_data(config, engine_config, &data);
+        let mut conn = dep.server.connect(1);
+        conn.set_opt_level(OptLevel::O2);
+        conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
+        conn.query(&queries::query(22)).unwrap();
+        conn.last_query_stats().rows_scanned
+    };
+    let decorrelated = q22_rows_scanned(EngineConfig::postgres_like());
+    let interpreted = q22_rows_scanned(EngineConfig::postgres_like().without_decorrelation());
+    assert!(
+        interpreted >= 50 * decorrelated,
+        "Q22 scan cut is below 50x: interpreted {interpreted} rows, decorrelated {decorrelated}"
+    );
 }
 
 /// The dictionary deployments must actually exercise the code-space paths —
@@ -454,6 +480,68 @@ fn q1_and_q6_aggregate_under_the_morsel_pool() {
                 stats.partial_agg_merges, 0,
                 "Q{query}: serial merged partials"
             );
+        }
+    }
+}
+
+/// The pool engages in every storage layout, not just dict/columnar: Q1, Q6
+/// and an aggregate over an interpreted residual conjunct (`l_quantity + 0`
+/// defeats the kernel compiler) dispatch morsels to more than one worker
+/// and merge partial aggregates, with results and `rows_scanned` identical
+/// to a serial deployment of the same layout. Every layout loads its own
+/// pair, so no concurrently running sibling reaches the counters.
+#[test]
+fn morsel_pool_engages_in_every_layout() {
+    let config = MthConfig {
+        scale: 2.0,
+        tenants: TENANTS,
+        distribution: TenantDistribution::Uniform,
+        seed: 42,
+    };
+    let data = gen::generate(&config);
+    let residual = "SELECT COUNT(*) AS cnt, SUM(l_extendedprice) AS total FROM lineitem \
+                    WHERE l_quantity + 0 < 25";
+    let base = EngineConfig::postgres_like;
+    let layouts = [
+        ("dict/columnar", base()),
+        ("nodict/columnar", base().without_dictionary_encoding()),
+        ("dict/row", base().without_columnar_scan()),
+        (
+            "nodict/row",
+            base().without_columnar_scan().without_dictionary_encoding(),
+        ),
+    ];
+    for (layout, engine_config) in layouts {
+        let serial = loader::load_from_data(config, engine_config, &data);
+        let pooled = loader::load_from_data(config, engine_config.with_parallel_scan(4), &data);
+        for sql in [queries::query(1), queries::query(6), residual.to_string()] {
+            let run_on = |dep: &MthDeployment| {
+                let mut conn = dep.server.connect(1);
+                conn.set_opt_level(OptLevel::O2);
+                conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
+                let rs = conn.query(&sql).unwrap();
+                (rs, conn.last_query_stats())
+            };
+            let (pooled_rs, pooled_stats) = run_on(&pooled);
+            let (serial_rs, serial_stats) = run_on(&serial);
+            let context = format!("{layout}: {sql}");
+            assert_eq!(pooled_rs, serial_rs, "{context}: results differ");
+            assert_eq!(
+                pooled_stats.rows_scanned, serial_stats.rows_scanned,
+                "{context}: rows_scanned differs under the pool"
+            );
+            assert!(
+                pooled_stats.morsels_dispatched > 0
+                    && pooled_stats.morsel_workers > 1
+                    && pooled_stats.partial_agg_merges > 0,
+                "{context}: the pool did not engage: {pooled_stats:?}"
+            );
+            if std::env::var("MT_THREADS").is_err() {
+                assert!(
+                    serial_stats.morsels_dispatched == 0 && serial_stats.partial_agg_merges == 0,
+                    "{context}: the serial deployment reported morsels: {serial_stats:?}"
+                );
+            }
         }
     }
 }

@@ -239,27 +239,29 @@ proptest! {
 #[test]
 fn vectorized_path_engages_on_columnar_deployments() {
     let f = fixtures();
-    let mut conn = f.serial.server.connect(1);
-    conn.set_opt_level(OptLevel::O2);
-    conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
-    conn.query(&queries::query(6)).unwrap();
-    let stats = conn.last_query_stats();
-    assert!(
-        stats.rows_vectorized > 0,
-        "expected Q6's lineitem scan to run vectorized, stats: {stats:?}"
-    );
-    assert!(
-        stats.late_materialized < stats.rows_vectorized,
-        "Q6's selective filter must late-materialize a strict subset, stats: {stats:?}"
-    );
-
-    let mut conn = f.row_serial.server.connect(1);
-    conn.set_opt_level(OptLevel::O2);
-    conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
-    conn.query(&queries::query(6)).unwrap();
-    let stats = conn.last_query_stats();
-    assert_eq!(stats.rows_vectorized, 0, "row buckets must not vectorize");
-    assert_eq!(stats.late_materialized, 0);
+    let stats_for = |dep: &MthDeployment, query: usize| {
+        let mut conn = dep.server.connect(1);
+        conn.set_opt_level(OptLevel::O2);
+        conn.execute("SET SCOPE = \"IN (1, 2, 3, 4)\"").unwrap();
+        conn.query(&queries::query(query)).unwrap();
+        conn.last_query_stats()
+    };
+    for query in queries::CONVERSION_HEAVY {
+        let stats = stats_for(&f.serial, query);
+        assert!(
+            stats.rows_vectorized > 0,
+            "expected Q{query}'s scans to run vectorized, stats: {stats:?}"
+        );
+        if query == 6 {
+            assert!(
+                stats.late_materialized < stats.rows_vectorized,
+                "Q6's selective filter must late-materialize a strict subset, stats: {stats:?}"
+            );
+        }
+        let stats = stats_for(&f.row_serial, query);
+        assert_eq!(stats.rows_vectorized, 0, "Q{query}: row buckets vectorized");
+        assert_eq!(stats.late_materialized, 0);
+    }
 }
 
 /// The parallel configuration must actually exercise the parallel scan path
@@ -614,6 +616,50 @@ fn all_queries_verify_clean_across_the_config_matrix() {
                     baseline = Some(rs);
                 }
             }
+        }
+    }
+}
+
+/// Verification is read-only and engages only where configured: over all 22
+/// MT-H queries, a verified and an unverified deployment of the same data
+/// return identical results, the verified one reports `plans_verified` on
+/// every query, and the unverified one never does (unless an `MT_VERIFY`
+/// override forces the verifier on, as CI's forced leg does). Both
+/// deployments are this test's own, so no sibling reaches the counters.
+#[test]
+fn verifier_engages_only_where_configured_and_never_changes_results() {
+    let config = MthConfig {
+        scale: 0.08,
+        tenants: TENANTS,
+        distribution: TenantDistribution::Uniform,
+        seed: 42,
+    };
+    let data = gen::generate(&config);
+    let load = |engine_config| loader::load_from_data(config, engine_config, &data);
+    let verified = load(EngineConfig::postgres_like().with_verify_plans());
+    let unverified = load(EngineConfig::postgres_like().without_verify_plans());
+    let run_on = |dep: &MthDeployment, query| {
+        let mut conn = dep.server.connect(1);
+        conn.set_opt_level(OptLevel::O2);
+        conn.execute(SCOPES[2]).expect("scope statement");
+        let rs = conn
+            .query(&queries::query(query))
+            .unwrap_or_else(|e| panic!("Q{query}: {e}"));
+        (rs, conn.last_query_stats().plans_verified)
+    };
+    for query in queries::all_query_numbers() {
+        let (rs, plans_verified) = run_on(&verified, query);
+        let (unverified_rs, unverified_plans) = run_on(&unverified, query);
+        assert_eq!(
+            rs, unverified_rs,
+            "Q{query}: verification changed the result"
+        );
+        assert!(plans_verified > 0, "Q{query}: the verifier did not engage");
+        if std::env::var("MT_VERIFY").is_err() {
+            assert_eq!(
+                unverified_plans, 0,
+                "Q{query}: the unverified deployment verified a plan"
+            );
         }
     }
 }

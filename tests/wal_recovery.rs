@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use mtbase::{EngineConfig, MtBase, MtError, ResultSet, Value};
 use mtengine::{CrashMode, FailpointClock};
@@ -74,20 +75,14 @@ fn fingerprint(server: &Arc<MtBase>) -> Vec<QueryFingerprint> {
 
 fn assert_fingerprints_match(
     reference: &[QueryFingerprint],
-    recovered: &[QueryFingerprint],
+    other: &[QueryFingerprint],
     context: &str,
 ) {
-    for (i, (r, g)) in reference.iter().zip(recovered.iter()).enumerate() {
+    for (i, (r, g)) in reference.iter().zip(other.iter()).enumerate() {
         let q = i + 1;
-        assert_eq!(r.0, g.0, "{context}: Q{q} results differ after recovery");
-        assert_eq!(
-            r.1, g.1,
-            "{context}: Q{q} rows_scanned differs after recovery"
-        );
-        assert_eq!(
-            r.2, g.2,
-            "{context}: Q{q} partitions_pruned differs after recovery"
-        );
+        assert_eq!(r.0, g.0, "{context}: Q{q} results differ");
+        assert_eq!(r.1, g.1, "{context}: Q{q} rows_scanned differs");
+        assert_eq!(r.2, g.2, "{context}: Q{q} partitions_pruned differs");
     }
 }
 
@@ -112,23 +107,37 @@ fn lineitem_count(server: &Arc<MtBase>) -> Value {
         .clone()
 }
 
+/// The bound on recovering the test deployment's log. Restart time must
+/// stay bounded; this one replays in well under a second.
+const RECOVERY_BOUND: Duration = Duration::from_secs(120);
+
 /// Durable load, plain close, reopen: every query (results and counters) and
-/// the dictionary gauge must round-trip through the log.
+/// the dictionary gauge must round-trip through the log, and durability must
+/// be invisible — the durable and the recovered deployment answer exactly
+/// as an in-memory load of the same data does.
 #[test]
 fn durable_load_reopen_round_trips_all_queries() {
     let (config, data) = mth_data();
     let path = tmp("round-trip");
     let engine_config = EngineConfig::postgres_like();
+    let reference = fingerprint(&loader::load_from_data(*config, engine_config, data).server);
 
-    let (reference, dict_columns) = {
+    let dict_columns = {
         let deployment = loader::load_durable_from_data(*config, engine_config, data, &path)
             .expect("durable load");
-        let reference = fingerprint(&deployment.server);
-        (reference, deployment.server.stats().dict_columns)
+        let durable = fingerprint(&deployment.server);
+        assert_fingerprints_match(&reference, &durable, "durable vs in-memory");
+        deployment.server.stats().dict_columns
     };
     assert!(dict_columns > 0, "MT-H load must dictionary-encode columns");
 
+    let start = Instant::now();
     let recovered = loader::reopen_durable(engine_config, &path).expect("reopen");
+    let recovery = start.elapsed();
+    assert!(
+        recovery < RECOVERY_BOUND,
+        "recovery took {recovery:?}, above the {RECOVERY_BOUND:?} bound"
+    );
     assert_fingerprints_match(&reference, &fingerprint(&recovered), "plain reopen");
     assert_eq!(
         recovered.stats().dict_columns,
@@ -492,13 +501,11 @@ fn explicit_rollback_restores_fingerprint_and_count() {
     );
 }
 
-/// Group commit under concurrency: writers of *different* tenants take
-/// different bucket locks and commit in parallel, sharing flushes — fewer
-/// fsyncs than commits — and every commit is durable across a reopen.
-#[test]
-fn concurrent_writers_share_flushes_and_recover_durably() {
-    let path = tmp("group-commit");
-    let server = MtBase::open_durable(EngineConfig::default(), &path).expect("durable open");
+const WRITERS: i64 = 4;
+const ROWS_PER_WRITER: i64 = 50;
+
+/// Create the scratch `Items` table the group-commit tests write to.
+fn create_items_table(server: &MtBase) {
     let ddl = "CREATE TABLE Items SPECIFIC (
         I_item_id INTEGER NOT NULL SPECIFIC,
         I_tag VARCHAR(32) NOT NULL COMPARABLE
@@ -507,16 +514,24 @@ fn concurrent_writers_share_flushes_and_recover_durably() {
         Statement::CreateTable(ct) => server.create_table(&ct).expect("create table"),
         _ => panic!("expected CREATE TABLE"),
     }
-    const WRITERS: i64 = 4;
-    const ROWS_PER_WRITER: i64 = 50;
-    for t in 1..=WRITERS {
-        server.register_tenant(t).expect("register tenant");
-    }
-    let before = server.stats();
+}
 
+fn items_count(server: &MtBase) -> Value {
+    server
+        .raw_query("SELECT COUNT(*) FROM Items")
+        .expect("count Items")
+        .rows[0][0]
+        .clone()
+}
+
+/// `WRITERS` threads of *different* tenants — different bucket locks, so
+/// they commit in parallel — each auto-commit `ROWS_PER_WRITER` INSERTs into
+/// `Items`. Returns the stats delta of the run.
+fn run_concurrent_writers(server: &Arc<MtBase>) -> mtengine::stats::StatsSnapshot {
+    let before = server.stats();
     let threads: Vec<_> = (1..=WRITERS)
         .map(|t| {
-            let server = Arc::clone(&server);
+            let server = Arc::clone(server);
             std::thread::spawn(move || {
                 let mut conn = server.connect(t);
                 for i in 0..ROWS_PER_WRITER {
@@ -532,9 +547,23 @@ fn concurrent_writers_share_flushes_and_recover_durably() {
     for handle in threads {
         handle.join().expect("writer thread");
     }
-
     let stats = server.stats().delta_from(&before);
     assert_eq!(stats.txn_commits, (WRITERS * ROWS_PER_WRITER) as u64);
+    stats
+}
+
+/// Group commit under concurrency: concurrent writers share flushes — fewer
+/// fsyncs than commits — and every commit is durable across a reopen.
+#[test]
+fn concurrent_writers_share_flushes_and_recover_durably() {
+    let path = tmp("group-commit");
+    let server = MtBase::open_durable(EngineConfig::default(), &path).expect("durable open");
+    create_items_table(&server);
+    for t in 1..=WRITERS {
+        server.register_tenant(t).expect("register tenant");
+    }
+
+    let stats = run_concurrent_writers(&server);
     assert!(stats.wal_fsyncs > 0, "commits must reach the disk");
     assert!(
         stats.wal_fsyncs < stats.wal_commits,
@@ -542,25 +571,69 @@ fn concurrent_writers_share_flushes_and_recover_durably() {
         stats.wal_fsyncs,
         stats.wal_commits
     );
-    let count = server
-        .raw_query("SELECT COUNT(*) FROM Items")
-        .expect("count Items")
-        .rows[0][0]
-        .clone();
-    assert_eq!(count, Value::Int(WRITERS * ROWS_PER_WRITER));
+    assert_eq!(items_count(&server), Value::Int(WRITERS * ROWS_PER_WRITER));
 
     drop(server);
     let recovered = MtBase::open_durable(EngineConfig::default(), &path).expect("recovery");
-    let count = recovered
-        .raw_query("SELECT COUNT(*) FROM Items")
-        .expect("count Items after recovery")
-        .rows[0][0]
-        .clone();
     assert_eq!(
-        count,
+        items_count(&recovered),
         Value::Int(WRITERS * ROWS_PER_WRITER),
         "every concurrent commit must survive recovery"
     );
+}
+
+/// Group commit off: every commit pays its own fsync, however many writers
+/// commit at once. On the same deployment, a `BEGIN..COMMIT` of ten
+/// statements appends one WAL commit marker, and the scratch-table writes
+/// leave all 22 MT-H queries answering as an in-memory load does, before
+/// and after recovery.
+#[test]
+fn group_commit_off_fsyncs_every_commit() {
+    let (config, data) = mth_data();
+    let path = tmp("group-commit-off");
+    let engine_config = EngineConfig::postgres_like().without_group_commit();
+    let reference = fingerprint(&loader::load_from_data(*config, engine_config, data).server);
+    let deployment =
+        loader::load_durable_from_data(*config, engine_config, data, &path).expect("durable load");
+    let server = &deployment.server;
+    create_items_table(server);
+
+    let stats = run_concurrent_writers(server);
+    assert!(
+        stats.wal_fsyncs >= stats.wal_commits,
+        "with group commit off every commit pays its own fsync: {} fsyncs for {} commits",
+        stats.wal_fsyncs,
+        stats.wal_commits
+    );
+
+    let before = server.stats();
+    let mut conn = server.connect(1);
+    conn.execute("BEGIN").expect("BEGIN");
+    for i in 0..10 {
+        conn.execute(&format!(
+            "INSERT INTO Items VALUES ({}, 'batched')",
+            5000 + i
+        ))
+        .expect("in-transaction insert");
+    }
+    conn.execute("COMMIT").expect("COMMIT");
+    let stats = server.stats().delta_from(&before);
+    assert_eq!(
+        (stats.wal_commits, stats.txn_commits),
+        (1, 1),
+        "a BEGIN..COMMIT transaction appends exactly one commit marker"
+    );
+    assert_fingerprints_match(&reference, &fingerprint(server), "after the writes");
+
+    drop(conn);
+    drop(deployment);
+    let recovered = loader::reopen_durable(engine_config, &path).expect("recovery");
+    assert_eq!(
+        items_count(&recovered),
+        Value::Int(WRITERS * ROWS_PER_WRITER + 10),
+        "every commit must survive recovery"
+    );
+    assert_fingerprints_match(&reference, &fingerprint(&recovered), "recovered");
 }
 
 /// Satellite: a write failure during the WAL append must leave the
